@@ -195,8 +195,9 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
 
     Proposal t of a stream consumes its Gaussian words [t*d, (t+1)*d)
     (the uniform sphere point) and uniform word t (the accept test), so
-    batch and scalar execution agree bit for bit. ``steps`` records the
-    proposals each sample consumed; its mean estimates M.
+    batch and scalar execution agree bit for bit, whatever the lookahead
+    (``rng.lookahead_rounds``). ``steps`` records the proposals each
+    sample consumed; its mean estimates M.
     """
     theta = _check_exact_start(ball, theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
@@ -210,19 +211,26 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
     retry_state: dict = {}
     t = 0
     while alive.size:
-        dirs = rng.sphere_rows(seed, ids[alive], gauss_start + t * d, d, retry_state)
-        ys = c + r * dirs
+        # Proposals [t, t + K) of every live stream from one request each
+        # for the Gaussian and uniform words; a row keeps its first accept.
+        live, k = alive.size, rng.lookahead_rounds(alive.size, d + 1, t)
+        dirs = rng.sphere_rows(seed, ids[alive], gauss_start + t * d, d, retry_state,
+                               rounds=k)
+        ys = c + r * dirs.reshape(-1, d)
         diff = ys - theta
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         accept_p = (gap / dist) ** d
-        u = rng.uniform_values(seed, ids[alive], uniform_start + t, 1)[:, 0]
-        acc = u < accept_p
-        if acc.any():
-            idx = alive[acc]
-            points[idx] = ys[acc]
-            steps[idx] = t + 1
-            alive = alive[~acc]
-        t += 1
+        u = rng.uniform_values(seed, ids[alive], uniform_start + t, k)
+        acc = (u.reshape(-1) < accept_p).reshape(live, k)
+        hit = acc.any(axis=1)
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            j = np.argmax(acc[rows], axis=1)
+            idx = alive[rows]
+            points[idx] = ys.reshape(live, k, d)[rows, j]
+            steps[idx] = t + j + 1
+            alive = alive[~hit]
+        t += k
 
     return ExitBatch(points, steps, "exact")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -68,12 +69,22 @@ class RunConfig:
     replications: int = 1
 
 
+def _real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
 def _point(text: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
+        return tuple(_real(tok) for tok in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated reals without spaces, got {text!r}")
+            f"expected comma-separated finite reals without spaces, got {text!r}")
 
 
 def _int_list(text: str) -> tuple:
@@ -102,48 +113,48 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=driver.METHODS, help="sampler (default brownian)")
     p.add_argument("--n", dest="n_samples", type=int, help="samples per row (default 500)")
-    p.add_argument("--dt", type=float, help="brownian timestep (default 1e-4)")
-    p.add_argument("--epsilon", type=float, help="wos absorption shell (default 1e-6 x diameter)")
-    p.add_argument("--step-fraction", dest="step_fraction", type=float,
+    p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
+    p.add_argument("--epsilon", type=_real, help="wos absorption shell (default 1e-6 x diameter)")
+    p.add_argument("--step-fraction", dest="step_fraction", type=_real,
                    help="wos hop radius fraction (default 0.5)")
 
     p = sub.add_parser("sample", help="sample one setting and score it against theory")
     common(p)
     p.add_argument("--dim", type=int, help="dimension (default 2, max 4 for the CSV schema)")
     p.add_argument("--center", type=_point, help="ball center (default origin)")
-    p.add_argument("--radius", type=float, help="ball radius (default 1)")
+    p.add_argument("--radius", type=_real, help="ball radius (default 1)")
     p.add_argument("--theta", type=_point, help="start point (default: the center)")
     p.add_argument("--method", choices=driver.METHODS, help="sampler (default brownian)")
     p.add_argument("--n", dest="n_samples", type=int, help="sample count (default 500)")
-    p.add_argument("--dt", type=float, help="brownian timestep (default 1e-4)")
+    p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
     p.add_argument("--exit-rule", dest="exit_rule", choices=["interpolate", "first-outside"],
                    help="brownian exit extraction (default interpolate)")
-    p.add_argument("--epsilon", type=float, help="wos absorption shell (default 1e-6 x diameter)")
-    p.add_argument("--step-fraction", dest="step_fraction", type=float,
+    p.add_argument("--epsilon", type=_real, help="wos absorption shell (default 1e-6 x diameter)")
+    p.add_argument("--step-fraction", dest="step_fraction", type=_real,
                    help="wos hop radius fraction (default 0.5)")
 
     p = sub.add_parser("kernel-check", help="verify the ball kernel integrates to 1")
     common(p)
     p.add_argument("--dim", type=int, help="dimension (default 2)")
-    p.add_argument("--rho", type=float, help="start distance from center (default 0.5)")
-    p.add_argument("--radius", type=float, help="ball radius (default 1)")
+    p.add_argument("--rho", type=_real, help="start distance from center (default 0.5)")
+    p.add_argument("--radius", type=_real, help="ball radius (default 1)")
     p.add_argument("--resolution", type=int,
                    help="quadrature nodes (d=2) or MC draws (d>=3); defaults 10^4 / 10^6")
-    p.add_argument("--tol", type=float, help="pass tolerance (defaults 1e-6 for d=2, 5e-3 for d>=3)")
+    p.add_argument("--tol", type=_real, help="pass tolerance (defaults 1e-6 for d=2, 5e-3 for d>=3)")
 
     p = sub.add_parser("privacy", help="mount cloaking attacks over a trips grid")
     common(p)
     p.add_argument("--house", type=_point, help="hidden start point (default 0.5,0)")
     p.add_argument("--center", type=_point, help="privacy region center (default origin)")
-    p.add_argument("--radius", type=float, help="privacy region radius (default 1)")
+    p.add_argument("--radius", type=_real, help="privacy region radius (default 1)")
     p.add_argument("--trips", type=int, help="observed trips per attack (default 100)")
     p.add_argument("--trips-grid", dest="trips_grid", type=_int_list,
                    help="comma-separated trip counts; overrides --trips with a grid")
     p.add_argument("--replications", type=int, help="attacks per grid cell (default 1)")
     p.add_argument("--method", choices=driver.METHODS, help="trip sampler (default brownian)")
-    p.add_argument("--dt", type=float, help="brownian timestep (default 1e-4)")
-    p.add_argument("--epsilon", type=float, help="wos absorption shell")
-    p.add_argument("--step-fraction", dest="step_fraction", type=float,
+    p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
+    p.add_argument("--epsilon", type=_real, help="wos absorption shell")
+    p.add_argument("--step-fraction", dest="step_fraction", type=_real,
                    help="wos hop radius fraction (default 0.5)")
 
     return parser
@@ -152,30 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> RunConfig:
     """Parse flags (and an optional JSON config) into a validated RunConfig."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)
-    file_cfg = {}
     if getattr(ns, "config", None):
-        try:
-            with open(ns.config) as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            parser.error(f"cannot read config file {ns.config}: {exc}")
-        except json.JSONDecodeError as exc:
-            parser.error(f"config file {ns.config} is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            parser.error(f"config file {ns.config} must hold a JSON object")
+        # Precedence: RunConfig defaults < config file < explicit flags. The
+        # file's entries become flags placed before the explicit ones, so
+        # they are converted and checked exactly as typed flags are.
+        ns = parser.parse_args(argv[:1] + _config_flags(ns.config, parser) + argv[1:])
 
-    # Precedence: RunConfig defaults < config file < explicit flags.
     cfg = RunConfig(command=ns.command)
-    known = {f.name for f in fields(RunConfig)}
-    for key, value in file_cfg.items():
-        key = key.replace("-", "_")
-        key = {"n": "n_samples"}.get(key, key)
-        if key not in known or key == "command":
-            parser.error(f"unknown config file key {key!r}")
-        if key in ("theta", "center", "house", "trips_grid") and value is not None:
-            value = tuple(value)
-        setattr(cfg, key, value)
     for key, value in vars(ns).items():
         if key in ("command", "config") or value is None:
             continue
@@ -183,6 +179,34 @@ def parse_args(argv=None) -> RunConfig:
 
     _validate(cfg, parser)
     return cfg
+
+
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The entries of a JSON config file as ``--flag=value`` arguments."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except OSError as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        parser.error(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(file_cfg, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+
+    known = {f.name for f in fields(RunConfig)}
+    flags = []
+    for key, value in file_cfg.items():
+        key = key.replace("-", "_")
+        key = {"n": "n_samples"}.get(key, key)
+        if key not in known or key == "command":
+            parser.error(f"unknown config file key {key!r}")
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        flag = {"n_samples": "n"}.get(key, key).replace("_", "-")
+        flags.append(f"--{flag}={value}")
+    return flags
 
 
 def _validate(cfg: RunConfig, parser: argparse.ArgumentParser) -> None:

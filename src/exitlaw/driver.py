@@ -3,7 +3,8 @@
 Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
 disjoint id block under the run seed. Worker parallelism splits the
-sample-index axis into contiguous chunks; each chunk is an independent
+sample-index axis into contiguous chunks, one per thread, with no more
+threads than samples or CPUs; each chunk is an independent
 batch over its own per-sample streams, and results are reassembled in
 index order — so the output is a pure function of (seed, context, n)
 and worker count can never change a byte.
@@ -11,6 +12,7 @@ and worker count can never change a byte.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,11 +56,11 @@ def sample_exits(domain: Domain, theta, method: str, n: int, seed: int,
             raise ValueError("the exact sampler is defined for balls only")
         kernel = lambda chunk: ball_mod.sample_exact_batch(domain, theta, seed, chunk)
 
-    if workers <= 1 or n == 1:
+    threads = min(workers, n, os.cpu_count() or 1)
+    if threads <= 1:
         return kernel(ids)
-    chunks = np.array_split(ids, min(workers, n))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(kernel, chunks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(kernel, np.array_split(ids, threads)))
     times = (np.concatenate([p.exit_times for p in parts])
              if parts[0].exit_times is not None else None)
     return ExitBatch(

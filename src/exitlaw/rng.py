@@ -40,6 +40,18 @@ TAG_RETRY = 2
 #: Sphere draws redraw the Gaussian vector when its norm falls below this.
 NORM_FLOOR = 1e-150
 
+#: Most values one lookahead request (see ``lookahead_rounds``) holds:
+#: 256 KB of float64, small next to a command's footprint, and enough to
+#: amortize a request's fixed cost.
+WINDOW_VALUES = 1 << 15
+
+#: Most words per stream one lookahead request holds: half of philox's
+#: narrow threshold, so these requests (Box-Muller pairs round a Gaussian
+#: one up by at most 2 words) always take the wide path. The narrow path
+#: would save little at these sizes, and loading ``numpy.random`` for it
+#: costs ~6 MB resident.
+WINDOW_WORDS = philox.NARROW_WORDS // 2
+
 _INV53 = 2.0 ** -53
 _SH11 = np.uint64(11)
 _TWO_PI = 2.0 * np.pi
@@ -168,8 +180,21 @@ def unit_rows(g: np.ndarray, redraw) -> np.ndarray:
     return g / norms[:, None]
 
 
+def lookahead_rounds(live: int, words_per_round: int, done: int) -> int:
+    """Rounds K a lockstep kernel fetches per request for its ``live`` streams.
+
+    Round t of a stream reads words [t*w, (t+1)*w) of its substreams, so K
+    rounds of all live streams are one request. K is at most ``done``,
+    the rounds already run, so a stream fetches at most twice the rounds
+    it uses; and a request stays within WINDOW_VALUES and WINDOW_WORDS.
+    """
+    cap = min(done, WINDOW_WORDS // words_per_round,
+              WINDOW_VALUES // (live * words_per_round))
+    return max(1, cap)
+
+
 def sphere_rows(seed: int, stream_ids: np.ndarray, gauss_start: int, d: int,
-                retry_state: dict | None = None) -> np.ndarray:
+                retry_state: dict | None = None, rounds: int | None = None) -> np.ndarray:
     """One unit-sphere direction per stream, lockstep across the batch.
 
     Each stream consumes Gaussian words [gauss_start, gauss_start + d)
@@ -178,20 +203,35 @@ def sphere_rows(seed: int, stream_ids: np.ndarray, gauss_start: int, d: int,
     pure function of the draw index. ``retry_state`` maps stream id ->
     retry words consumed so far; pass the same dict across rounds to
     keep per-stream retry cursors (it stays empty in practice).
+
+    With ``rounds=K`` the result has shape (m, K, d): direction t of a
+    stream reads words [gauss_start + t*d, gauss_start + (t+1)*d), all K
+    from one request. Redraws then run round by round, so the result
+    and the retry cursors equal those of K one-round calls.
     """
-    g = gaussian_values(seed, stream_ids, gauss_start, d)
+    k = 1 if rounds is None else rounds
+    g = gaussian_values(seed, stream_ids, gauss_start, k * d).reshape(-1, k, d)
     state = retry_state if retry_state is not None else {}
 
     def redraw(rows):
         fresh = np.empty((rows.size, d))
-        for k, i in enumerate(rows):
+        for j, i in enumerate(rows):
             sid = int(stream_ids[i])
             cur = state.get(sid, 0)
-            fresh[k] = gaussian_values(seed, sid, cur, d, substream=TAG_RETRY)
+            fresh[j] = gaussian_values(seed, sid, cur, d, substream=TAG_RETRY)
             state[sid] = cur + d
         return fresh
 
-    return unit_rows(g, redraw)
+    if rounds is None:
+        return unit_rows(g[:, 0], redraw)
+    flat = g.reshape(-1, d)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    if norms.min(initial=np.inf) >= NORM_FLOOR:
+        return (flat / norms[:, None]).reshape(g.shape)
+    out = np.empty_like(g)
+    for t in range(k):
+        out[:, t] = unit_rows(g[:, t], redraw)
+    return out
 
 
 def unit_vectors(stream: RngStream, n: int, d: int) -> np.ndarray:

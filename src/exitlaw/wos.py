@@ -76,6 +76,9 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
     alive = np.arange(m)
     retry_state: dict = {}
     hop = 0
+    # Directions of hops [first, first + K) for the streams alive at
+    # `first`, one request per window; `rows` maps alive -> window rows.
+    dirs, rows, first = np.empty((m, 0, d)), np.arange(m), 0
 
     while alive.size:
         dist = domain.distance_to_boundary_many(Y[alive])
@@ -86,13 +89,17 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
             keep = ~absorbed
             alive = alive[keep]
             dist = dist[keep]
+            rows = rows[keep]
             if not alive.size:
                 break
         if hop >= cfg.max_hops:
             raise MaxHopsExceeded(hop, ids[alive], Y[alive])
-        dirs = rng.sphere_rows(seed, ids[alive], gauss_start + hop * d, d,
-                               retry_state)
-        Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs
+        if hop == first + dirs.shape[1]:
+            k = min(rng.lookahead_rounds(alive.size, d, hop), cfg.max_hops - hop)
+            dirs = rng.sphere_rows(seed, ids[alive], gauss_start + hop * d, d,
+                                   retry_state, rounds=k)
+            rows, first = np.arange(alive.size), hop
+        Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs[rows, hop - first]
         hops[alive] += 1
         hop += 1
 

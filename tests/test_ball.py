@@ -12,6 +12,7 @@ from exitlaw.ball import (KernelQuery, arc_probabilities, expected_exit_time,
                           rejection_envelope, sample_exact, sample_exact_batch,
                           second_moment_identity_check, second_moment_quadrature,
                           sphere_surface_area, theoretical_mean, theoretical_trace)
+from exitlaw import rng
 from exitlaw.geometry import BoxDomain
 from exitlaw.rng import RngStream
 
@@ -232,3 +233,38 @@ def test_second_moment_identity_on_samples():
     w = second_moment_identity_check(batch, th)
     # SE of mean |Y-theta|^2 at this n, measured once and rounded up
     assert abs(w - 0.75) <= 4 * 0.004
+
+
+def per_round_exact(ball, theta, seed, stream_ids):
+    """Reference: one proposal per stream per request, as before lookahead."""
+    d, r, c = ball.dimension, ball.radius, ball.center
+    gap = r - float(np.linalg.norm(theta - c))
+    points = np.empty((stream_ids.size, d))
+    steps = np.empty(stream_ids.size, dtype=np.int64)
+    alive, t, state = np.arange(stream_ids.size), 0, {}
+    while alive.size:
+        ys = c + r * rng.sphere_rows(seed, stream_ids[alive], t * d, d, state)
+        diff = ys - theta
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        u = rng.uniform_values(seed, stream_ids[alive], t, 1)[:, 0]
+        acc = u < (gap / dist) ** d
+        points[alive[acc]] = ys[acc]
+        steps[alive[acc]] = t + 1
+        alive = alive[~acc]
+        t += 1
+    return points, steps
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, None])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lookahead_window_matches_per_round_proposals(monkeypatch, k, d):
+    # each row keeps its first accept among K proposals: the same sample
+    b = Ball(np.linspace(-0.5, 0.5, d), 2.0)
+    th = b.center + 1.5 / math.sqrt(d)
+    ids = np.arange(300, dtype=np.uint64)
+    want_points, want_steps = per_round_exact(b, th, 4, ids)
+    if k is not None:
+        monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
+    batch = sample_exact_batch(b, th, 4, ids)
+    assert np.array_equal(batch.points, want_points)
+    assert np.array_equal(batch.steps, want_steps)

@@ -111,6 +111,23 @@ def test_out_of_range_values_exit_2(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    ("sample --radius nan", "--radius: expected a finite real, got 'nan'"),
+    ("sample --radius inf", "--radius: expected a finite real"),
+    ("sample --theta nan,0", "--theta: expected comma-separated finite reals"),
+    ("privacy --house 0.5,inf", "--house: expected comma-separated finite reals"),
+    ("table1 --dt nan", "--dt: expected a finite real"),
+    ("kernel-check --rho nan", "--rho: expected a finite real"),
+])
+def test_non_finite_values_exit_2(argv, fragment, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+
+
 def test_malformed_point_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["sample", "--theta", "a,b"])
@@ -152,6 +169,25 @@ def test_bad_config_files_exit_2(tmp_path, payload, fragment, capsys):
         parse_args(["table1", "--config", str(path)])
     assert exc.value.code == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, fragment", [
+    ('{"n": "abc"}', "--n: invalid int value: 'abc'"),
+    ('{"n": 2.5}', "--n: invalid int value: '2.5'"),
+    ('{"seed": true}', "--seed: invalid int value: 'True'"),
+    ('{"dt": "fast"}', "--dt: expected a finite real, got 'fast'"),
+    ('{"theta": ["a", 0]}', "--theta: expected comma-separated finite reals"),
+    ('{"method": "teleport"}', "--method: invalid choice: 'teleport'"),
+])
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, payload, fragment, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(payload)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -87,6 +87,29 @@ def test_worker_chunking_reassembles_identically():
     assert np.array_equal(timed.exit_times, timed1.exit_times)
 
 
+@pytest.mark.parametrize("workers, n, cpus, threads", [
+    (64, 5, 3, 3),       # capped by the CPU count
+    (2, 50, 8, 2),       # capped by the request
+    (64, 2, 8, 2),       # capped by the sample count
+    (4, 50, 1, None),    # one CPU: no pool at all
+    (4, 50, None, None), # unknown CPU count counts as one
+])
+def test_thread_pool_is_clamped(monkeypatch, workers, n, cpus, threads):
+    seen = []
+    real = driver.ThreadPoolExecutor
+
+    def recording(max_workers):
+        seen.append(max_workers)
+        return real(max_workers=min(max_workers, 3))
+
+    monkeypatch.setattr(driver, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(driver.os, "cpu_count", lambda: cpus)
+    got = driver.sample_exits(DISK, THETA, "exact", n, seed=2, workers=workers)
+    assert seen == ([] if threads is None else [threads])
+    want = driver.sample_exits(DISK, THETA, "exact", n, seed=2)
+    assert np.array_equal(got.points, want.points)
+
+
 # ---------------------------------------------------------------------------
 # exit value types
 # ---------------------------------------------------------------------------

@@ -107,3 +107,78 @@ def test_cipher_avalanche():
     flip = philox.philox4x64(U64(1), U64(0), U64(0), U64(0), 0, U64(0))
     diff = sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(base, flip))
     assert 80 < diff < 176  # 256 output bits, expect ~128 flips
+
+
+# ---------------------------------------------------------------------------
+# narrow path (numpy's C Philox) against the wide emulation, word for word
+# ---------------------------------------------------------------------------
+
+
+def raw_words_with_threshold(narrow_words, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(philox, "NARROW_WORDS", narrow_words)
+        return philox.raw_words(*args)
+
+
+def wide(*args):
+    return raw_words_with_threshold(1 << 62, *args)
+
+
+def narrow(*args):
+    return raw_words_with_threshold(1, *args)
+
+
+@pytest.mark.parametrize("substream", [0, 1, 2])
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 5, 6, 7, 4097])
+def test_narrow_matches_wide_substreams_and_starts(substream, start):
+    # starts 1-3 sit in block 0 (counter predecessor borrows from the tag
+    # limb, or from every limb at tag 0); 5-7 and 4097 in blocks above 0
+    ids = np.array([0, 1, 2**40 + 3], dtype=U64)
+    want = wide(8, ids, substream, start, 37)
+    assert np.array_equal(narrow(8, ids, substream, start, 37), want)
+
+
+@pytest.mark.parametrize("seed,stream_id", [(ALL_ONES, 0), (0, ALL_ONES), (ALL_ONES, ALL_ONES)])
+@pytest.mark.parametrize("substream", [0, 1])
+def test_narrow_matches_wide_at_all_ones_keys(seed, stream_id, substream):
+    want = wide(seed, np.array([stream_id], dtype=U64), substream, 3, 50)
+    got = narrow(seed, np.array([stream_id], dtype=U64), substream, 3, 50)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [philox.NARROW_WORDS - 1, philox.NARROW_WORDS,
+                                   philox.NARROW_WORDS + 1])
+@pytest.mark.parametrize("start", [0, 6])
+def test_default_switch_is_invisible_around_the_crossover(count, start):
+    ids = np.arange(3, dtype=U64)
+    got = philox.raw_words(21, ids, 1, start, count)
+    assert np.array_equal(got, wide(21, ids, 1, start, count))
+    # and each word range agrees with the one long request it belongs to
+    whole = philox.raw_words(21, ids, 1, 0, start + count + 300)
+    assert np.array_equal(got, whole[:, start:start + count])
+
+
+def test_narrow_scalar_and_array_stream_ids():
+    scalar = narrow(5, 11, 0, 9, 300)
+    assert scalar.shape == (300,)
+    assert np.array_equal(scalar, wide(5, 11, 0, 9, 300))
+    batch = narrow(5, np.array([11], dtype=U64), 0, 9, 300)
+    assert batch.shape == (1, 300)
+    assert np.array_equal(batch[0], scalar)
+
+
+def test_narrow_matches_numpy_reference_directly():
+    count = philox.NARROW_WORDS + 8
+    got = philox.raw_words(42, 7, 1, 0, count)
+    assert list(got[:4]) == KNOWN_GAUSS_BLOCK0
+    assert np.array_equal(got, numpy_blocks(42, 7, 1, count // 4))
+
+
+def test_chunking_leaves_both_paths_unchanged(monkeypatch):
+    ids = np.arange(300, dtype=U64)
+    want = philox.raw_words(3, ids, 2, 5, 100)           # wide, one chunk
+    long = philox.raw_words(3, ids[:4], 2, 5, 700)       # narrow
+    monkeypatch.setattr(philox, "_CHUNK_WORDS", 64)
+    assert np.array_equal(philox.raw_words(3, ids, 2, 5, 100), want)  # chunks of 4 words
+    assert np.array_equal(philox.raw_words(3, ids[:4], 2, 5, 700), long)
+    assert np.array_equal(long[:, :100], want[:4])

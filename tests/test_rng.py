@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from exitlaw import rng
+from exitlaw import philox, rng
 from exitlaw.rng import RngStream, gaussian_vector, uniform_on_sphere
 
 N_BIG = 100_000
@@ -185,3 +185,51 @@ def test_sphere_rows_retry_state_advances():
     assert state == {0: 2, 1: 2}
     expect0 = real(17, 0, 0, 2, substream=rng.TAG_RETRY)
     assert np.allclose(rows[0], expect0 / np.linalg.norm(expect0))
+
+
+def test_lookahead_rounds_doubles_within_caps():
+    assert rng.lookahead_rounds(10, 2, 0) == 1
+    assert rng.lookahead_rounds(10, 2, 1) == 1
+    assert rng.lookahead_rounds(10, 2, 5) == 5        # at most the rounds run so far
+    assert rng.lookahead_rounds(1, 2, 10**9) == rng.WINDOW_WORDS // 2
+    assert rng.lookahead_rounds(1000, 2, 10**9) == rng.WINDOW_VALUES // 2000
+    assert rng.lookahead_rounds(10**6, 3, 10**9) == 1  # one round may exceed the cap
+    for w in range(1, 9):
+        # a window's Gaussian request (K*w words, +2 for pair alignment)
+        # stays on philox's wide path
+        assert rng.lookahead_rounds(1, w, 10**9) * w + 2 < philox.NARROW_WORDS
+
+
+def test_sphere_rows_window_matches_single_rounds():
+    ids = np.array([3, 8, 2**35], dtype=np.uint64)
+    window = rng.sphere_rows(12, ids, 6, 3, {}, rounds=5)
+    assert window.shape == (3, 5, 3)
+    for t in range(5):
+        assert np.array_equal(window[:, t], rng.sphere_rows(12, ids, 6 + 3 * t, 3))
+
+
+def test_sphere_rows_window_redraws_round_by_round(monkeypatch):
+    # zero the main Gaussians of (stream 1, rounds 0 and 2) and (stream 0,
+    # round 2): the window must redraw them in round order, exactly as
+    # five one-round calls sharing a retry state do
+    d, real = 2, rng.gaussian_values
+    degenerate = {1: (0, 2), 0: (2,)}
+
+    def fake(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
+        g = np.array(real(seed, stream_ids, start, count, substream))
+        if substream == rng.TAG_GAUSS and g.ndim == 2:
+            for i, sid in enumerate(np.asarray(stream_ids).tolist()):
+                for t in degenerate.get(sid, ()):
+                    lo, hi = max(t * d, start), min((t + 1) * d, start + count)
+                    g[i, lo - start:hi - start] = 0.0
+        return g
+
+    monkeypatch.setattr(rng, "gaussian_values", fake)
+    ids = np.array([0, 1, 2], dtype=np.uint64)
+    window_state, round_state = {}, {}
+    window = rng.sphere_rows(4, ids, 0, d, window_state, rounds=5)
+    rounds = [rng.sphere_rows(4, ids, t * d, d, round_state) for t in range(5)]
+    assert window_state == round_state == {0: 2, 1: 4}
+    for t in range(5):
+        assert np.array_equal(window[:, t], rounds[t])
+    assert np.allclose(np.linalg.norm(window, axis=2), 1.0)

@@ -9,7 +9,7 @@ from exitlaw.ball import sample_exact_batch
 from exitlaw.geometry import Domain
 from exitlaw.rng import RngStream
 from exitlaw.wos import hop_count_profile, wos_exit, wos_exit_batch
-from exitlaw import stats
+from exitlaw import rng, stats
 
 BALL2 = Ball(np.zeros(2), 1.0)
 THETA2 = np.array([0.5, 0.0])
@@ -194,3 +194,46 @@ def test_deterministic_and_split_invariant():
     parts = [wos_exit_batch(BALL2, THETA2, WosConfig(), 2, ids(64)[lo:hi])
              for lo, hi in [(0, 20), (20, 64)]]
     assert np.array_equal(np.concatenate([p.points for p in parts]), whole.points)
+
+
+def per_round_walks(domain, theta, cfg, seed, stream_ids):
+    """Reference: one sphere draw per hop, as before lookahead windows."""
+    eps, d = cfg.resolve_epsilon(domain), domain.dimension
+    Y = np.tile(theta, (stream_ids.size, 1))
+    points, hops = np.empty_like(Y), np.zeros(stream_ids.size, dtype=np.int64)
+    alive, hop, state = np.arange(stream_ids.size), 0, {}
+    while alive.size:
+        dist = domain.distance_to_boundary_many(Y[alive])
+        done = dist < eps
+        if done.any():
+            points[alive[done]] = domain.project_to_boundary_many(Y[alive[done]])
+            alive, dist = alive[~done], dist[~done]
+            if not alive.size:
+                break
+        dirs = rng.sphere_rows(seed, stream_ids[alive], hop * d, d, state)
+        Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs
+        hops[alive] += 1
+        hop += 1
+    return points, hops
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, None])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lookahead_window_matches_per_round_walks(monkeypatch, k, d):
+    # the window length K (forced, or the default doubling) never moves a bit
+    domain = Ball(np.zeros(d), 1.0)
+    theta = np.full(d, 0.3)
+    cfg = WosConfig(epsilon=1e-4)
+    want_points, want_hops = per_round_walks(domain, theta, cfg, 6, ids(40))
+    if k is not None:
+        monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
+    batch = wos_exit_batch(domain, theta, cfg, 6, ids(40))
+    assert np.array_equal(batch.points, want_points)
+    assert np.array_equal(batch.steps, want_hops)
+
+
+def test_lookahead_window_respects_hop_cap(monkeypatch):
+    monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: 7)
+    with pytest.raises(MaxHopsExceeded) as exc:
+        wos_exit_batch(BALL2, THETA2, WosConfig(max_hops=5), 0, ids(10))
+    assert exc.value.hops == 5
