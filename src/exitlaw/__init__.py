@@ -7,7 +7,7 @@ formulas to verify them against, and a location-privacy application
 built on the same machinery.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .geometry import Ball, BoxDomain, Domain
 from .exits import ExitBatch, ExitSample
@@ -16,11 +16,11 @@ from .brownian import BrownianConfig, MaxStepsExceeded, simulate_exit, simulate_
 from .wos import HopProfile, MaxHopsExceeded, WosConfig, hop_count_profile, wos_exit, wos_exit_batch
 from .ball import (
     KernelQuery,
+    MaxProposalsExceeded,
     expected_exit_time,
     kernel_normalization,
     poisson_kernel,
     rejection_envelope,
-    sample_exact,
     sample_exact_batch,
     second_moment_identity_check,
     theoretical_mean,
@@ -37,8 +37,8 @@ __all__ = [
     "BrownianConfig", "MaxStepsExceeded", "simulate_exit", "simulate_exit_batch",
     "HopProfile", "MaxHopsExceeded", "WosConfig", "hop_count_profile",
     "wos_exit", "wos_exit_batch",
-    "KernelQuery", "expected_exit_time", "kernel_normalization", "poisson_kernel",
-    "rejection_envelope", "sample_exact", "sample_exact_batch",
+    "KernelQuery", "MaxProposalsExceeded", "expected_exit_time", "kernel_normalization",
+    "poisson_kernel", "rejection_envelope", "sample_exact_batch",
     "second_moment_identity_check", "theoretical_mean", "theoretical_trace",
     "ComparisonRow", "SummaryStats", "TableConfig", "compare", "reproduce_table1",
     "summarize",

@@ -7,10 +7,24 @@ measure on the sphere,
     K(x, y) = Gamma(d/2) / (2 pi^(d/2) r) * (r^2 - |x-c|^2) / |x-y|^d,
 
 which makes three things possible without any timestepping: direct
-evaluation and normalization checks of the density, exact sampling by
-rejection from the uniform sphere proposal, and closed forms for the
-moments — the exit-point mean is x itself, the covariance trace is
-r^2 - |x-c|^2, and the expected exit time is (r^2 - |x-c|^2)/d.
+evaluation and normalization checks of the density, exact sampling, and
+closed forms for the moments — the exit-point mean is x itself, the
+covariance trace is r^2 - |x-c|^2, and the expected exit time is
+(r^2 - |x-c|^2)/d.
+
+The exact sampler proposes from the Moebius pushforward of the uniform
+sphere: in unit coordinates (a = (x-c)/r, rho = |a|), a uniform
+direction u maps to the second point y where the chord from -u through
+a meets the sphere,
+
+    y = a + (1 - rho^2) (u + a) / |u + a|^2,
+
+the image of u under the ball automorphism sending 0 to a. Its density
+is the hyperbolic Poisson kernel ((1 - rho^2)/|y - a|^2)^(d-1) times
+the uniform one (Ahlfors 1981; Stoll 2016), so the harmonic measure is
+|u + a|^(2-d) times the proposal, up to normalization. Accepting with
+that ratio over its maximum leaves an envelope of (1 - rho)^-(d-2):
+one in the plane, where no proposal is ever rejected.
 
 Densities are with respect to unnormalized (d-1)-dimensional surface
 measure, so at the center K is the constant 1/(surface area).
@@ -24,14 +38,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .exits import ExitBatch, ExitSample, points_of
+from .exits import ExitBatch, points_of
 from .geometry import Ball, Domain, as_point
 
 #: Relative boundary tolerance for kernel query points.
 BOUNDARY_RTOL = 1e-9
 
-#: sample_exact refuses starts with rho/r beyond this (envelope degenerates).
+#: sample_exact_batch refuses starts with rho/r beyond this; walk on
+#: spheres serves them.
 MAX_RHO_FRACTION = 1.0 - 1e-9
+
+#: Most proposals one exact sample may draw. A start whose envelope M
+#: (the mean proposals per sample) exceeds it is refused before drawing.
+#: At the table1 and privacy starts (M <= 25) a stream outlives the cap
+#: with probability (1 - 1/M)^cap < e^-40000.
+MAX_PROPOSALS = 1_000_000
 
 
 def gamma_half(d: int) -> float:
@@ -160,19 +181,35 @@ def expected_exit_time(ball: Ball, theta) -> float:
 
 
 def rejection_envelope(ball: Ball, theta) -> float:
-    """Envelope constant M = max_y K(theta,y)/uniform(y) for the rejection sampler.
+    """Envelope M of the exact sampler: its mean proposals per sample.
 
-    The kernel peaks at the boundary point nearest theta, where
-    |theta - y| = r - rho; M is the kernel-to-proposal ratio there:
-    M = (r + rho) r^(d-2) / (r - rho)^(d-1). Expected proposals per
-    accepted sample equal M, so M also prices the sampler.
+    The harmonic measure is |u + a|^(2-d) times the Moebius proposal
+    (module docstring), and |u + a| ranges over [1 - rho/r, 1 + rho/r].
+    The ratio peaks at the far end of that range for d >= 2, giving
+    M = (r / (r - rho))^(d-2) (one in the plane), and at the near end
+    for d = 1, giving M = (r + rho) / r.
     """
     theta = as_point(theta, ball.dimension)
     r, d = ball.radius, ball.dimension
     rho = float(np.linalg.norm(theta - ball.center))
     if rho >= r:
         raise ValueError(f"theta {theta} is not strictly inside the ball")
-    return (r + rho) * r ** (d - 2) / (r - rho) ** (d - 1)
+    if d == 1:
+        return (r + rho) / r
+    return (r / (r - rho)) ** (d - 2)
+
+
+class MaxProposalsExceeded(RuntimeError):
+    """Raised when exact samples are still unaccepted after MAX_PROPOSALS proposals."""
+
+    def __init__(self, proposals: int, envelope: float, stream_ids):
+        self.proposals = proposals
+        self.envelope = envelope
+        self.stream_ids = np.asarray(stream_ids)
+        super().__init__(
+            f"{self.stream_ids.size} exact sample(s) unaccepted after {proposals} "
+            f"proposals (cap {MAX_PROPOSALS}, envelope M = {envelope:.3g} proposals "
+            f"per sample). Use the walk-on-spheres sampler for this start.")
 
 
 def _check_exact_start(ball: Ball, theta) -> np.ndarray:
@@ -182,28 +219,42 @@ def _check_exact_start(ball: Ball, theta) -> np.ndarray:
         raise ValueError(f"theta {theta} is not strictly inside the ball")
     if rho / ball.radius > MAX_RHO_FRACTION:
         raise ValueError(
-            f"theta is within {ball.radius - rho:.3g} of the boundary; the "
-            f"rejection envelope degenerates (expected proposals "
-            f"{rejection_envelope(ball, theta):.3g}). Use the walk-on-spheres "
-            f"sampler for near-boundary starts.")
+            f"theta is within {ball.radius - rho:.3g} of the boundary, closer than "
+            f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
+            f"M = {rejection_envelope(ball, theta):.3g} proposals per sample). "
+            f"Use the walk-on-spheres sampler for near-boundary starts.")
     return theta
 
 
 def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
                        gauss_start: int = 0, uniform_start: int = 0) -> ExitBatch:
-    """Exact exit samples by rejection, one stream per row of ``stream_ids``.
+    """Exact exit samples by Moebius-proposal rejection, one stream per row.
 
-    Proposal t of a stream consumes its Gaussian words [t*d, (t+1)*d)
-    (the uniform sphere point) and uniform word t (the accept test), so
-    batch and scalar execution agree bit for bit, whatever the lookahead
+    Proposal t of a stream maps the uniform direction u read from its
+    Gaussian words [t*d, (t+1)*d) to y (module docstring) and accepts y
+    when uniform word t is below (|u + a| / peak)^(2-d), with peak =
+    1 - rho/r for d >= 2 and 1 + rho/r for d = 1. That probability is
+    ((r - rho) / (r |u + a|))^(d-2) for d >= 2, which is 1 in the plane,
+    and |u + a| / (1 + rho/r) on the line. Batched execution agrees bit
+    for bit with one proposal per request, whatever the lookahead
     (``rng.lookahead_rounds``). ``steps`` records the proposals each
-    sample consumed; its mean estimates M.
+    sample consumed, a Geometric(1/M) count whose mean estimates
+    ``rejection_envelope``. Accepted points are renormalized onto the
+    sphere, which the map alone misses by rounding that grows as the
+    start nears the boundary. Raises MaxProposalsExceeded when M or a
+    sample's proposals exceed MAX_PROPOSALS.
     """
     theta = _check_exact_start(ball, theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], ball.dimension
     r, c = ball.radius, ball.center
-    gap = r - float(np.linalg.norm(theta - c))
+    a = (theta - c) / r
+    gap = (r - float(np.linalg.norm(theta - c))) / r      # 1 - rho/r
+    power = gap * (2.0 - gap)                             # 1 - (rho/r)^2
+    peak = gap if d >= 2 else 2.0 - gap
+    envelope = rejection_envelope(ball, theta)
+    if envelope > MAX_PROPOSALS:
+        raise MaxProposalsExceeded(0, envelope, ids)
 
     points = np.empty((m, d))
     steps = np.empty(m, dtype=np.int64)
@@ -211,38 +262,32 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
     retry_state: dict = {}
     t = 0
     while alive.size:
+        if t >= MAX_PROPOSALS:
+            raise MaxProposalsExceeded(t, envelope, ids[alive])
         # Proposals [t, t + K) of every live stream from one request each
         # for the Gaussian and uniform words; a row keeps its first accept.
-        live, k = alive.size, rng.lookahead_rounds(alive.size, d + 1, t)
-        dirs = rng.sphere_rows(seed, ids[alive], gauss_start + t * d, d, retry_state,
-                               rounds=k)
-        ys = c + r * dirs.reshape(-1, d)
-        diff = ys - theta
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        accept_p = (gap / dist) ** d
+        live = alive.size
+        k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
+        v = rng.sphere_rows(seed, ids[alive], gauss_start + t * d, d, retry_state,
+                            rounds=k).reshape(-1, d) + a
+        s2 = np.einsum("ij,ij->i", v, v)
+        accept_p = (np.sqrt(s2) / peak) ** (2 - d)
         u = rng.uniform_values(seed, ids[alive], uniform_start + t, k)
         acc = (u.reshape(-1) < accept_p).reshape(live, k)
         hit = acc.any(axis=1)
         if hit.any():
             rows = np.flatnonzero(hit)
             j = np.argmax(acc[rows], axis=1)
+            pick = rows * k + j
+            y = a + v[pick] * (power / s2[pick])[:, None]
+            y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
             idx = alive[rows]
-            points[idx] = ys.reshape(live, k, d)[rows, j]
+            points[idx] = c + r * y
             steps[idx] = t + j + 1
             alive = alive[~hit]
         t += k
 
     return ExitBatch(points, steps, "exact")
-
-
-def sample_exact(ball: Ball, theta, stream: rng.RngStream) -> ExitSample:
-    """One exact exit sample from the stream (see sample_exact_batch)."""
-    batch = sample_exact_batch(ball, theta, stream.seed, [stream.stream_id],
-                               gauss_start=stream._gcur, uniform_start=stream._ucur)
-    sample = batch[0]
-    stream._gcur += sample.steps * ball.dimension
-    stream._ucur += sample.steps
-    return sample
 
 
 def second_moment_identity_check(samples, theta) -> float:

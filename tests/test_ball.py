@@ -1,4 +1,4 @@
-"""Closed-form checks for the ball kernel, trace, and rejection sampler."""
+"""Closed-form checks for the ball kernel, trace, and exact sampler."""
 
 import math
 
@@ -7,9 +7,10 @@ import pytest
 from scipy import stats as sps
 
 from exitlaw import Ball
-from exitlaw.ball import (KernelQuery, arc_probabilities, expected_exit_time,
-                          gamma_half, kernel_normalization, poisson_kernel,
-                          rejection_envelope, sample_exact, sample_exact_batch,
+from exitlaw import ball as ball_module
+from exitlaw.ball import (KernelQuery, MaxProposalsExceeded, arc_probabilities,
+                          expected_exit_time, gamma_half, kernel_normalization,
+                          poisson_kernel, rejection_envelope, sample_exact_batch,
                           second_moment_identity_check, second_moment_quadrature,
                           sphere_surface_area, theoretical_mean, theoretical_trace)
 from exitlaw import rng
@@ -139,18 +140,25 @@ def test_quadrature_identity_matches_trace():
         second_moment_quadrature(unit_ball(3), np.zeros(3))
 
 
-# ------------------------------------------------------- rejection sampler
+# ------------------------------------------------------------ exact sampler
 
 def test_envelope_hand_values():
-    assert rejection_envelope(unit_ball(2), (0.5, 0.0)) == pytest.approx(3.0)
-    assert rejection_envelope(unit_ball(2), (0.0, 0.0)) == pytest.approx(1.0)
-    assert rejection_envelope(unit_ball(4), (0.8, 0, 0, 0)) == pytest.approx(225.0)
+    # (r/(r-rho))^(d-2) for d >= 2: one at any start in the plane
+    for rho in (0.0, 0.5, 0.95):
+        assert rejection_envelope(unit_ball(2), (rho, 0.0)) == 1.0
+    assert rejection_envelope(unit_ball(4), (0.8, 0, 0, 0)) == pytest.approx(25.0)
+    assert rejection_envelope(Ball(np.ones(3), 2.0), (2.0, 1.0, 1.0)) == pytest.approx(2.0)
+    # (r+rho)/r on the line
+    assert rejection_envelope(unit_ball(1), (0.5,)) == pytest.approx(1.5)
 
 
 def test_near_boundary_start_rejected_with_advice():
     b = unit_ball(2)
-    with pytest.raises(ValueError, match="walk-on-spheres"):
+    with pytest.raises(ValueError, match="walk-on-spheres") as exc:
         sample_exact_batch(b, (1.0 - 1e-12, 0.0), 0, np.arange(4, dtype=np.uint64))
+    # the message prices the start with the plane's envelope, M = 1
+    assert "M = 1 proposals" in str(exc.value)
+    assert "degenerate" not in str(exc.value)
 
 
 def test_exact_points_on_boundary_and_deterministic():
@@ -166,28 +174,105 @@ def test_exact_points_on_boundary_and_deterministic():
     assert np.array_equal(batch.steps, again.steps)
 
 
-def test_exact_scalar_matches_batch_row():
-    b = unit_ball(2)
-    th = np.array([0.5, 0.0])
+def test_exact_batch_row_matches_single_stream_batch():
+    b = unit_ball(3)
+    th = np.array([0.5, 0.0, 0.0])
     batch = sample_exact_batch(b, th, 9, np.arange(8, dtype=np.uint64))
+    assert (batch.steps > 1).any()   # M = 2: some rows reject first
     for i in range(8):
-        s = RngStream(seed=9, stream_id=i)
-        one = sample_exact(b, th, s)
-        assert np.array_equal(one.exit_point, batch.points[i])
-        assert one.steps == batch.steps[i]
-        # the stream advanced exactly by what the sample consumed
-        assert s._gcur == one.steps * 2 and s._ucur == one.steps
+        one = sample_exact_batch(b, th, 9, [i])
+        assert np.array_equal(one.points[0], batch.points[i])
+        assert one.steps[0] == batch.steps[i]
 
 
 def test_acceptance_rate_matches_envelope():
-    # steps are Geometric(1/M); mean steps estimates M
-    b = unit_ball(2)
-    th = np.array([0.5, 0.0])
-    M = rejection_envelope(b, th)   # 3.0
+    # steps are Geometric(1/M); mean steps estimates M. In the plane M = 1,
+    # so the check runs in d = 3.
+    b = unit_ball(3)
+    th = np.array([0.5, 0.0, 0.0])
+    M = rejection_envelope(b, th)   # 2.0
     n = 20_000
     batch = sample_exact_batch(b, th, 21, np.arange(n, dtype=np.uint64))
     se = math.sqrt(M * (M - 1) / n)   # geometric sd / sqrt(n)
     assert abs(batch.steps.mean() - M) <= 4 * se
+
+
+def test_exact_plane_is_rejection_free_near_boundary():
+    # the benchmark's privacy house: every first proposal is accepted, and
+    # the points follow the harmonic measure (36-arc chi-square)
+    b = unit_ball(2)
+    th = np.array([0.95, 0.0])
+    n = 100_000
+    batch = sample_exact_batch(b, th, 6, np.arange(n, dtype=np.uint64))
+    assert (batch.steps == 1).all()
+    ang = np.arctan2(batch.points[:, 1], batch.points[:, 0])
+    counts = np.histogram(ang, bins=36, range=(-math.pi, math.pi))[0]
+    expect = n * np.roll(arc_probabilities(b, th, 36, nodes_per_arc=512), 18)
+    stat = ((counts - expect) ** 2 / expect).sum()
+    assert stat < sps.chi2.ppf(0.999, 35)
+
+
+def test_exact_line_exit_share():
+    # d = 1: exit at c + r with probability (1 + rho/r)/2, envelope 1 + rho/r
+    b = Ball(np.array([0.5]), 2.0)
+    th = np.array([1.5])   # rho/r = 0.5
+    n = 50_000
+    batch = sample_exact_batch(b, th, 12, np.arange(n, dtype=np.uint64))
+    assert set(np.unique(batch.points[:, 0])) == {-1.5, 2.5}
+    p = 0.75
+    share = float(np.mean(batch.points[:, 0] == 2.5))
+    assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / n)
+    assert abs(batch.steps.mean() - 1.5) <= 4 * math.sqrt(1.5 * 0.5 / n)
+
+
+def test_exact_points_stay_on_sphere_at_the_refusal_edge(monkeypatch):
+    b = Ball(np.array([0.3, -0.2]), 2.0)
+    e = np.array([0.6, 0.8])
+    th = b.center + 2.0 * (1.0 - 1e-8) * e
+    batch = sample_exact_batch(b, th, 8, np.arange(20_000, dtype=np.uint64))
+    radii = np.linalg.norm(batch.points - b.center, axis=1)
+    assert np.abs(radii - 2.0).max() <= 1e-9 * 2.0
+    # directions within 1e-6 rad of -e, where |u + a| ~ 1 - rho/r and the
+    # unrenormalized map misses the sphere by ~2e-8 of r
+    ang = math.atan2(-e[1], -e[0]) + np.linspace(-1e-6, 1e-6, 2001)
+    near = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    monkeypatch.setattr(rng, "sphere_rows", lambda seed, ids, start, d, state, rounds:
+                        near[:, None, :])
+    batch = sample_exact_batch(b, th, 8, np.arange(near.shape[0], dtype=np.uint64))
+    radii = np.linalg.norm(batch.points - b.center, axis=1)
+    assert np.abs(radii - 2.0).max() <= 1e-9 * 2.0
+
+
+def test_proposal_cap_names_drawn_envelope_and_unfinished(monkeypatch):
+    # d = 4, rho = 0.9: M = 100, so with a cap of 150 a stream outlives
+    # it with probability 0.99^150 ~ 0.22
+    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 150)
+    ends = []
+    uniform_values = rng.uniform_values
+
+    def spy(seed, ids, start, count):
+        ends.append(start + count)
+        return uniform_values(seed, ids, start, count)
+
+    monkeypatch.setattr(rng, "uniform_values", spy)
+    with pytest.raises(MaxProposalsExceeded) as exc:
+        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), 1, np.arange(64, dtype=np.uint64))
+    err = exc.value
+    assert err.proposals == 150
+    assert err.envelope == pytest.approx(100.0)
+    assert 0 < err.stream_ids.size < 64
+    assert max(ends) == 150   # the last window is clipped to the cap
+    msg = str(err)
+    assert f"{err.stream_ids.size} exact sample(s)" in msg
+    assert "150 proposals" in msg and "M = 100" in msg and "walk-on-spheres" in msg
+
+
+def test_envelope_above_cap_refused_before_drawing(monkeypatch):
+    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 50)
+    monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
+    with pytest.raises(MaxProposalsExceeded, match="after 0 proposals") as exc:
+        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), 1, np.arange(8, dtype=np.uint64))
+    assert exc.value.stream_ids.size == 8
 
 
 def test_exact_center_start_accepts_immediately():
@@ -236,19 +321,24 @@ def test_second_moment_identity_on_samples():
 
 
 def per_round_exact(ball, theta, seed, stream_ids):
-    """Reference: one proposal per stream per request, as before lookahead."""
+    """Reference: one Moebius proposal per stream per request, no lookahead."""
     d, r, c = ball.dimension, ball.radius, ball.center
-    gap = r - float(np.linalg.norm(theta - c))
+    a = (theta - c) / r
+    gap = (r - float(np.linalg.norm(theta - c))) / r
+    power = gap * (2.0 - gap)
+    peak = gap if d >= 2 else 2.0 - gap
     points = np.empty((stream_ids.size, d))
     steps = np.empty(stream_ids.size, dtype=np.int64)
     alive, t, state = np.arange(stream_ids.size), 0, {}
     while alive.size:
-        ys = c + r * rng.sphere_rows(seed, stream_ids[alive], t * d, d, state)
-        diff = ys - theta
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        x = rng.sphere_rows(seed, stream_ids[alive], t * d, d, state)
+        v = x + a
+        s2 = np.einsum("ij,ij->i", v, v)
         u = rng.uniform_values(seed, stream_ids[alive], t, 1)[:, 0]
-        acc = u < (gap / dist) ** d
-        points[alive[acc]] = ys[acc]
+        acc = u < (np.sqrt(s2) / peak) ** (2 - d)
+        y = a + v[acc] * (power / s2[acc])[:, None]
+        y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
+        points[alive[acc]] = c + r * y
         steps[alive[acc]] = t + 1
         alive = alive[~acc]
         t += 1
@@ -256,7 +346,7 @@ def per_round_exact(ball, theta, seed, stream_ids):
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, None])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_lookahead_window_matches_per_round_proposals(monkeypatch, k, d):
     # each row keeps its first accept among K proposals: the same sample
     b = Ball(np.linspace(-0.5, 0.5, d), 2.0)

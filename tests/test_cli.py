@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from exitlaw import cli
+from exitlaw import ball, cli
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
@@ -347,6 +347,18 @@ def test_runtime_errors_exit_2(capsys):
     status = cli.run(RunConfig(command="table1", method="teleport"))
     assert status == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_exact_proposal_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    # d = 4, rho = 0.9 needs M = 100 proposals per sample; cap them at 150
+    monkeypatch.setattr(ball, "MAX_PROPOSALS", 150)
+    status = main(["sample", "--method", "exact", "--dim", "4", "--theta", "0.9,0,0,0",
+                   "--n", "64", "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "after 150 proposals" in err and "walk-on-spheres" in err
+    assert "Traceback" not in err
 
 
 def test_identical_bytes_across_worker_counts(tmp_path):

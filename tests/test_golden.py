@@ -1,10 +1,9 @@
 """Golden-byte tests: every command's CSV, byte for byte.
 
-The files under ``tests/golden/`` were written by the code before the
-Philox fast paths and the lookahead kernels existed. Output bytes are a
-pure function of (config, seed), so any change to a sampling law or to
-the stream layout shows up here. Such a change must bump the version and
-regenerate the files on purpose:
+Output bytes are a pure function of (config, seed), so any change to a
+sampling law or to the stream layout shows up here. Such a change must
+bump the version and regenerate the files on purpose; line 1 of every
+file names the version that wrote it:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from exitlaw import __version__
 from exitlaw.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,6 +47,12 @@ def test_csv_bytes_match_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     run_case(name, out)
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_written_by_this_version(name):
+    first = (GOLDEN / f"{name}.csv").read_text().splitlines()[0]
+    assert first == f"# exitlaw {__version__}"
 
 
 if __name__ == "__main__":
