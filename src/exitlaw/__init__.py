@@ -12,8 +12,8 @@ __version__ = "0.2.0"
 from .geometry import Ball, BoxDomain, Domain
 from .exits import ExitBatch, ExitSample
 from .rng import RngStream, gaussian_vector, uniform_on_sphere
-from .brownian import BrownianConfig, MaxStepsExceeded, simulate_exit, simulate_exit_batch
-from .wos import HopProfile, MaxHopsExceeded, WosConfig, hop_count_profile, wos_exit, wos_exit_batch
+from .brownian import BrownianConfig, MaxStepsExceeded, simulate_exit_batch
+from .wos import HopProfile, MaxHopsExceeded, WosConfig, hop_count_profile, wos_exit_batch
 from .ball import (
     KernelQuery,
     MaxProposalsExceeded,
@@ -34,9 +34,8 @@ __all__ = [
     "Ball", "BoxDomain", "Domain",
     "ExitBatch", "ExitSample",
     "RngStream", "gaussian_vector", "uniform_on_sphere",
-    "BrownianConfig", "MaxStepsExceeded", "simulate_exit", "simulate_exit_batch",
-    "HopProfile", "MaxHopsExceeded", "WosConfig", "hop_count_profile",
-    "wos_exit", "wos_exit_batch",
+    "BrownianConfig", "MaxStepsExceeded", "simulate_exit_batch",
+    "HopProfile", "MaxHopsExceeded", "WosConfig", "hop_count_profile", "wos_exit_batch",
     "KernelQuery", "MaxProposalsExceeded", "expected_exit_time", "kernel_normalization",
     "poisson_kernel", "rejection_envelope", "sample_exact_batch",
     "second_moment_identity_check", "theoretical_mean", "theoretical_trace",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .exits import ExitBatch, ExitSample
+from .exits import ExitBatch
 from .geometry import Domain, as_point
 
 
@@ -104,16 +104,6 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
         hop += 1
 
     return ExitBatch(points, hops, "wos")
-
-
-def wos_exit(domain: Domain, theta, cfg: WosConfig,
-             stream: rng.RngStream) -> ExitSample:
-    """One exit sample; consumes d Gaussians per hop from the stream."""
-    batch = wos_exit_batch(domain, theta, cfg, stream.seed, [stream.stream_id],
-                           gauss_start=stream._gcur)
-    sample = batch[0]
-    stream._gcur += sample.steps * domain.dimension
-    return sample
 
 
 @dataclass(frozen=True)

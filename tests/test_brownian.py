@@ -1,12 +1,13 @@
 """Tests for the discretized Brownian exit sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from exitlaw import Ball, BoxDomain, BrownianConfig, MaxStepsExceeded
-from exitlaw.brownian import simulate_exit, simulate_exit_batch
-from exitlaw.rng import RngStream
-from exitlaw import brownian, stats
+from exitlaw.brownian import simulate_exit_batch
+from exitlaw import brownian, rng, stats
 
 BALL2 = Ball(np.zeros(2), 1.0)
 THETA2 = np.array([0.5, 0.0])
@@ -50,14 +51,54 @@ def test_exit_points_on_boundary():
 
 
 def test_block_width_does_not_change_results(monkeypatch):
-    cfg = BrownianConfig(dt=1e-3)
-    want = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(200))
-    monkeypatch.setattr(brownian, "_MAX_BLOCK", 7)
-    monkeypatch.setattr(brownian, "_BLOCK_BUDGET", 120)
-    got = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(200))
-    assert np.array_equal(want.points, got.points)
-    assert np.array_equal(want.steps, got.steps)
-    assert np.array_equal(want.exit_times, got.exit_times)
+    # Ball at d=2; box at d=3, where 7 and 255 words give odd requests with
+    # odd Gaussian offsets. Width d is one step per block, so every exit
+    # takes its previous point from the carried position; 255/256/257
+    # straddle philox.NARROW_WORDS.
+    box3 = BoxDomain((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))
+    default = brownian._BLOCK_WORDS
+    for domain, theta in [(BALL2, THETA2), (box3, np.array([0.4, 0.3, 0.5]))]:
+        d = domain.dimension
+        for rule in ("interpolate", "first-outside"):
+            cfg = BrownianConfig(dt=1e-3, exit_rule=rule)
+            monkeypatch.setattr(brownian, "_BLOCK_WORDS", default)
+            want = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
+            for words in (d, 7, 255, 256, 257):
+                monkeypatch.setattr(brownian, "_BLOCK_WORDS", words)
+                got = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
+                case = (d, rule, words)
+                assert np.array_equal(want.points, got.points), case
+                assert np.array_equal(want.steps, got.steps), case
+                assert np.array_equal(want.exit_times, got.exit_times), case
+
+
+def test_max_steps_cap_off_the_block_edge(monkeypatch):
+    # the cap of 701 steps ends partway through the second 512-step block
+    # at d=2, and one step into a 4-step block after a width-7 patch; the
+    # pending positions are the sums of exactly 701 increments
+    cfg = BrownianConfig(dt=1e-6, max_steps=701)
+    g = rng.gaussian_values(0, ids(16), 0, 701 * 2).reshape(16, 701, 2)
+    incr = np.concatenate([np.tile(THETA2, (16, 1, 1)), g * np.sqrt(1e-6)], axis=1)
+    want = np.cumsum(incr, axis=1)[:, -1]
+    for words in (brownian._BLOCK_WORDS, 7):
+        monkeypatch.setattr(brownian, "_BLOCK_WORDS", words)
+        with pytest.raises(MaxStepsExceeded) as err:
+            simulate_exit_batch(BALL2, THETA2, cfg, 0, ids(16))
+        assert err.value.steps == 701
+        assert np.array_equal(err.value.positions, want), words
+
+
+def test_block_memory_stays_small():
+    # numpy reports its buffers to tracemalloc; 500 streams at d=2 hold a
+    # few live x 1,024 arrays per block, about 15 MB
+    ball = Ball(np.zeros(2), 1.0)
+    tracemalloc.start()
+    try:
+        simulate_exit_batch(ball, np.array([0.2, 0.0]), BrownianConfig(dt=1e-3), 1, ids(500))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_batch_split_does_not_change_results():
@@ -69,16 +110,14 @@ def test_batch_split_does_not_change_results():
     assert np.array_equal(np.concatenate([p.steps for p in parts]), whole.steps)
 
 
-def test_scalar_wrapper_matches_batch_row():
+def test_batch_row_matches_single_stream_batch():
     cfg = BrownianConfig(dt=1e-2)
-    batch = simulate_exit_batch(BALL2, THETA2, cfg, 5, ids(6))
-    for i in range(6):
-        s = RngStream(seed=5, stream_id=i)
-        one = simulate_exit(BALL2, THETA2, cfg, s)
-        assert np.array_equal(one.exit_point, batch.points[i])
-        assert one.steps == batch.steps[i]
-        assert one.exit_time == batch.exit_times[i]
-        assert s._gcur == one.steps * 2
+    batch = simulate_exit_batch(BALL2, THETA2, cfg, 5, ids(8))
+    for i in range(8):
+        one = simulate_exit_batch(BALL2, THETA2, cfg, 5, [i])
+        assert np.array_equal(one.points[0], batch.points[i])
+        assert one.steps[0] == batch.steps[i]
+        assert one.exit_times[0] == batch.exit_times[i]
 
 
 def test_max_steps_carries_partial_state():
@@ -90,7 +129,16 @@ def test_max_steps_carries_partial_state():
     assert e.stream_ids.size == 32          # nobody exits this fast
     assert e.positions.shape == (32, 2)
     assert BALL2.contains_many(e.positions).all()
-    assert "50" in str(e)
+    assert "50 steps" in str(e) and "dt=1e-06" in str(e) and "diameter 2" in str(e)
+
+
+def test_default_step_cap_scales_with_diameter_and_dt():
+    assert BrownianConfig().max_steps is None
+    assert BrownianConfig(dt=1e-4).resolve_max_steps(BALL2) == 4_000_000
+    box = BoxDomain((0.0, 0.0), (3.0, 4.0))
+    assert BrownianConfig(dt=1e-2).resolve_max_steps(box) == 250_000
+    assert BrownianConfig(dt=1e-4, max_steps=7).resolve_max_steps(BALL2) == 7
+    assert BrownianConfig(dt=5e-324).resolve_max_steps(BALL2) == 2 ** 62
 
 
 def test_theta_must_be_interior():

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from exitlaw import ball, cli
+from exitlaw import ball, brownian, cli
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
@@ -358,6 +358,18 @@ def test_exact_proposal_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "after 150 proposals" in err and "walk-on-spheres" in err
+    assert "Traceback" not in err
+
+
+def test_brownian_step_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    # the default cap resolves per domain; shrink it so the walks reach it
+    monkeypatch.setattr(brownian.BrownianConfig, "resolve_max_steps", lambda self, domain: 30)
+    status = main(["sample", "--method", "brownian", "--dim", "2", "--dt", "1e-6",
+                   "--n", "8", "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "after 30 steps of dt=1e-06 in a domain of diameter 2" in err
     assert "Traceback" not in err
 
 

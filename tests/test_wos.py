@@ -7,8 +7,7 @@ from scipy import stats as sps
 from exitlaw import Ball, BoxDomain, WosConfig, MaxHopsExceeded
 from exitlaw.ball import sample_exact_batch
 from exitlaw.geometry import Domain
-from exitlaw.rng import RngStream
-from exitlaw.wos import hop_count_profile, wos_exit, wos_exit_batch
+from exitlaw.wos import hop_count_profile, wos_exit_batch
 from exitlaw import rng, stats
 
 BALL2 = Ball(np.zeros(2), 1.0)
@@ -176,15 +175,13 @@ def test_start_point_must_be_interior():
         wos_exit_batch(BALL2, np.array([1.0, 0.0]), WosConfig(), 0, ids(1))
 
 
-def test_scalar_wrapper_matches_batch_row():
-    batch = wos_exit_batch(BALL2, THETA2, WosConfig(), 8, ids(5))
-    for i in range(5):
-        s = RngStream(seed=8, stream_id=i)
-        one = wos_exit(BALL2, THETA2, WosConfig(), s)
-        assert np.array_equal(one.exit_point, batch.points[i])
-        assert one.steps == batch.steps[i]
-        assert one.exit_time is None
-        assert s._gcur == one.steps * 2
+def test_batch_row_matches_single_stream_batch():
+    batch = wos_exit_batch(BALL2, THETA2, WosConfig(), 8, ids(8))
+    for i in range(8):
+        one = wos_exit_batch(BALL2, THETA2, WosConfig(), 8, [i])
+        assert np.array_equal(one.points[0], batch.points[i])
+        assert one.steps[0] == batch.steps[i]
+        assert one.exit_times is None
 
 
 def test_deterministic_and_split_invariant():
