@@ -10,10 +10,9 @@ built on the same machinery.
 __version__ = "0.2.0"
 
 from .geometry import Ball, BoxDomain, Domain
-from .exits import ExitBatch, ExitSample
-from .rng import RngStream, gaussian_vector, uniform_on_sphere
+from .exits import ExitBatch
 from .brownian import BrownianConfig, MaxStepsExceeded, simulate_exit_batch
-from .wos import HopProfile, MaxHopsExceeded, WosConfig, hop_count_profile, wos_exit_batch
+from .wos import MaxHopsExceeded, WosConfig, wos_exit_batch
 from .ball import (
     KernelQuery,
     MaxProposalsExceeded,
@@ -26,19 +25,20 @@ from .ball import (
     theoretical_mean,
     theoretical_trace,
 )
+from .driver import ExactConfig
 from .stats import ComparisonRow, SummaryStats, TableConfig, compare, reproduce_table1, summarize
 from .privacy import CloakScenario, PrivacyReport, privacy_curve, run_attack, run_attacks
 
 __all__ = [
     "__version__",
     "Ball", "BoxDomain", "Domain",
-    "ExitBatch", "ExitSample",
-    "RngStream", "gaussian_vector", "uniform_on_sphere",
+    "ExitBatch",
     "BrownianConfig", "MaxStepsExceeded", "simulate_exit_batch",
-    "HopProfile", "MaxHopsExceeded", "WosConfig", "hop_count_profile", "wos_exit_batch",
+    "MaxHopsExceeded", "WosConfig", "wos_exit_batch",
     "KernelQuery", "MaxProposalsExceeded", "expected_exit_time", "kernel_normalization",
     "poisson_kernel", "rejection_envelope", "sample_exact_batch",
     "second_moment_identity_check", "theoretical_mean", "theoretical_trace",
+    "ExactConfig",
     "ComparisonRow", "SummaryStats", "TableConfig", "compare", "reproduce_table1",
     "summarize",
     "CloakScenario", "PrivacyReport", "privacy_curve", "run_attack", "run_attacks",

@@ -115,8 +115,7 @@ def _kernel_values(ball: Ball, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return const * numer / dist ** d
 
 
-def kernel_normalization(ball: Ball, x, resolution: int,
-                         stream: rng.RngStream | None = None) -> float:
+def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float:
     """Numerical total mass of the kernel over the whole boundary.
 
     Converges to 1 as resolution grows. The rule is per-dimension:
@@ -126,8 +125,8 @@ def kernel_normalization(ball: Ball, x, resolution: int,
     * d = 2: trapezoid rule on ``resolution`` equal angles — the
       integrand is smooth and periodic, so convergence is spectral.
     * d >= 3: Monte Carlo over ``resolution`` uniform sphere draws
-      (surface area times the mean kernel value), from ``stream``
-      (default: a fresh stream with seed 0, stream_id 0).
+      (surface area times the mean kernel value), draw i from Gaussian
+      words [i*d, (i+1)*d) of stream 0 under ``seed``.
     """
     x = as_point(x, ball.dimension)
     if not ball.contains(x):
@@ -140,14 +139,14 @@ def kernel_normalization(ball: Ball, x, resolution: int,
         ang = 2.0 * math.pi * np.arange(resolution) / resolution
         ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return float(_kernel_values(ball, x, ys).sum() * (2.0 * math.pi * r / resolution))
-    if stream is None:
-        stream = rng.RngStream(seed=0, stream_id=0)
     area = sphere_surface_area(d, r)
+    stream = np.zeros(1, dtype=np.uint64)
+    retry_state: dict = {}
     total = 0.0
     done = 0
     while done < resolution:
         step = min(resolution - done, 1 << 19)
-        ys = c + r * rng.unit_vectors(stream, step, d)
+        ys = c + r * rng.sphere_rows(seed, stream, done * d, d, retry_state, rounds=step)[0]
         total += float(_kernel_values(ball, x, ys).sum())
         done += step
     return area * total / resolution

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__, ball, driver, privacy, rng, stats
+from . import __version__, ball, driver, privacy, stats
 from .geometry import Ball
 
 _DEFAULT_MAX_DIM = 4  # the CSV schema carries four coordinate columns
@@ -221,6 +221,8 @@ def _validate(cfg: RunConfig, parser: argparse.ArgumentParser) -> None:
         err(f"--epsilon must be positive, got {cfg.epsilon}")
     if cfg.workers < 1:
         err(f"--workers must be >= 1, got {cfg.workers}")
+    if not 0 <= cfg.seed < 1 << 64:
+        err(f"--seed must lie in [0, 2^64), got {cfg.seed}")
     if cfg.radius <= 0:
         err(f"--radius must be positive, got {cfg.radius}")
 
@@ -343,9 +345,13 @@ def _sampling_rows(rows: list[stats.ComparisonRow]) -> list[list]:
 # command execution
 
 
+def _sampler(cfg: RunConfig) -> driver.Sampler:
+    return driver.sampler_config(cfg.method, dt=cfg.dt, exit_rule=cfg.exit_rule,
+                                 epsilon=cfg.epsilon, step_fraction=cfg.step_fraction)
+
+
 def _run_table1(cfg: RunConfig) -> int:
-    table_cfg = stats.TableConfig(method=cfg.method, n=cfg.n_samples, dt=cfg.dt,
-                                  epsilon=cfg.epsilon, step_fraction=cfg.step_fraction,
+    table_cfg = stats.TableConfig(sampler=_sampler(cfg), n=cfg.n_samples,
                                   workers=cfg.workers)
     rows = stats.reproduce_table1(table_cfg, cfg.seed)
     meta = _meta_lines(cfg, ("method", "n_samples", "dt", "epsilon", "step_fraction"))
@@ -356,20 +362,12 @@ def _run_table1(cfg: RunConfig) -> int:
 
 
 def _run_sample(cfg: RunConfig) -> int:
-    from .brownian import BrownianConfig
-    from .wos import WosConfig
-
     domain = Ball(np.array(cfg.center), cfg.radius)
-    bcfg = BrownianConfig(dt=cfg.dt, exit_rule=cfg.exit_rule) if cfg.method == "brownian" else None
-    wcfg = (WosConfig(epsilon=cfg.epsilon, step_fraction=cfg.step_fraction)
-            if cfg.method == "wos" else None)
-    batch = driver.sample_exits(domain, np.array(cfg.theta), cfg.method,
-                                cfg.n_samples, cfg.seed, workers=cfg.workers,
-                                brownian_cfg=bcfg, wos_cfg=wcfg)
-    row = stats.compare(
-        stats.summarize(batch), domain, np.array(cfg.theta), method=cfg.method,
-        dt=cfg.dt if cfg.method == "brownian" else None,
-        epsilon=wcfg.resolve_epsilon(domain) if cfg.method == "wos" else None)
+    theta = np.array(cfg.theta)
+    sampler = _sampler(cfg)
+    batch = driver.sample_exits(domain, theta, sampler, cfg.n_samples, cfg.seed,
+                                workers=cfg.workers)
+    row = stats.compare(stats.summarize(batch), domain, theta, sampler=sampler)
     meta = _meta_lines(cfg, ("method", "n_samples", "dt", "epsilon", "step_fraction",
                              "exit_rule", "dim", "center", "radius", "theta"))
     path = _write(cfg, _render(SAMPLING_HEADER, _sampling_rows([row]), meta, cfg.format))
@@ -384,8 +382,7 @@ def _run_kernel_check(cfg: RunConfig) -> int:
     domain = Ball(center, cfg.radius)
     x = np.zeros(cfg.dim)
     x[0] = cfg.rho
-    stream = rng.RngStream(seed=cfg.seed, stream_id=0)
-    norm = ball.kernel_normalization(domain, x, cfg.resolution, stream=stream)
+    norm = ball.kernel_normalization(domain, x, cfg.resolution, seed=cfg.seed)
     abs_err = abs(norm - 1.0)
     ok = abs_err <= cfg.tol
     rows = [[cfg.dim, cfg.rho, cfg.radius, cfg.resolution, norm, abs_err,
@@ -399,10 +396,8 @@ def _run_kernel_check(cfg: RunConfig) -> int:
 
 def _run_privacy(cfg: RunConfig) -> int:
     region = Ball(np.array(cfg.center), cfg.radius)
-    scenario = privacy.CloakScenario(
-        house=np.array(cfg.house), privacy_region=region, trips=cfg.trips,
-        sampler=cfg.method, dt=cfg.dt, epsilon=cfg.epsilon,
-        step_fraction=cfg.step_fraction)
+    scenario = privacy.CloakScenario(house=np.array(cfg.house), privacy_region=region,
+                                     trips=cfg.trips, sampler=_sampler(cfg))
     grid = cfg.trips_grid if cfg.trips_grid is not None else (cfg.trips,)
     points = privacy.privacy_curve(scenario, grid, cfg.replications, cfg.seed,
                                    workers=cfg.workers)

@@ -1,4 +1,11 @@
-"""Shared sampling driver: method dispatch, stream allocation, workers.
+"""Shared sampling driver: the sampler registry, stream allocation, workers.
+
+Each sampler is named by a method and configured by one frozen config
+type: ``SAMPLERS`` maps ``brownian`` to ``BrownianConfig``, ``wos`` to
+``WosConfig`` and ``exact`` to the knob-free ``ExactConfig``.
+``sample_exits`` takes a config and runs the batch kernel of its type;
+``sampler_config`` builds the config of a named method from the
+command line's knobs.
 
 Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
@@ -14,15 +21,48 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import ball as ball_mod
-from . import brownian, wos
+from . import ball, brownian, wos
 from .exits import ExitBatch
 from .geometry import Ball, Domain
 
-METHODS = ("brownian", "wos", "exact")
+
+@dataclass(frozen=True)
+class ExactConfig:
+    """The exact sampler, ``ball.sample_exact_batch``: balls only, no knobs."""
+
+
+#: Method name -> config type.
+SAMPLERS = {"brownian": brownian.BrownianConfig, "wos": wos.WosConfig, "exact": ExactConfig}
+METHODS = tuple(SAMPLERS)
+
+#: Any sampler config, for annotations.
+Sampler = brownian.BrownianConfig | wos.WosConfig | ExactConfig
+
+
+def sampler_config(method: str, **knobs) -> Sampler:
+    """The config of the named method, from the command line's sampler knobs.
+
+    A knob that is a field of the method's config type is passed to it;
+    the others belong to other samplers and are ignored.
+    """
+    if method not in SAMPLERS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    cls = SAMPLERS[method]
+    return cls(**{f.name: knobs[f.name] for f in fields(cls) if f.name in knobs})
+
+
+def method_of(sampler: Sampler) -> str:
+    """The method name of a sampler config."""
+    for method, cls in SAMPLERS.items():
+        if type(sampler) is cls:
+            return method
+    names = ", ".join(cls.__name__ for cls in SAMPLERS.values())
+    raise ValueError(f"sampler must be a config of a method in {METHODS} ({names}), "
+                     f"got {sampler!r}")
 
 
 def stream_block(context: int, n: int) -> np.ndarray:
@@ -34,27 +74,29 @@ def stream_block(context: int, n: int) -> np.ndarray:
     return (np.uint64(context << 32) + np.arange(n, dtype=np.uint64))
 
 
-def sample_exits(domain: Domain, theta, method: str, n: int, seed: int,
-                 context: int = 0, workers: int = 1,
-                 brownian_cfg: brownian.BrownianConfig | None = None,
-                 wos_cfg: wos.WosConfig | None = None) -> ExitBatch:
-    """Draw n exit samples by the named method, one stream per sample."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+def _kernel(domain: Domain, theta, sampler: Sampler, seed: int):
+    """The batch kernel of the config's type, as a function of stream ids.
+
+    Each call reads the kernel off its module, so a wrapper set on the
+    module attribute (a tracer) is the one that runs.
+    """
+    method = method_of(sampler)
+    if method == "brownian":
+        return lambda ids: brownian.simulate_exit_batch(domain, theta, sampler, seed, ids)
+    if method == "wos":
+        return lambda ids: wos.wos_exit_batch(domain, theta, sampler, seed, ids)
+    if not isinstance(domain, Ball):
+        raise ValueError("the exact sampler is defined for balls only")
+    return lambda ids: ball.sample_exact_batch(domain, theta, seed, ids)
+
+
+def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
+                 context: int = 0, workers: int = 1) -> ExitBatch:
+    """Draw n exit samples with the given sampler config, one stream per sample."""
+    kernel = _kernel(domain, theta, sampler, seed)
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     ids = stream_block(context, n)
-
-    if method == "brownian":
-        cfg = brownian_cfg or brownian.BrownianConfig()
-        kernel = lambda chunk: brownian.simulate_exit_batch(domain, theta, cfg, seed, chunk)
-    elif method == "wos":
-        cfg = wos_cfg or wos.WosConfig()
-        kernel = lambda chunk: wos.wos_exit_batch(domain, theta, cfg, seed, chunk)
-    else:
-        if not isinstance(domain, Ball):
-            raise ValueError("the exact sampler is defined for balls only")
-        kernel = lambda chunk: ball_mod.sample_exact_batch(domain, theta, seed, chunk)
 
     threads = min(workers, n, os.cpu_count() or 1)
     if threads <= 1:

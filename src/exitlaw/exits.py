@@ -1,4 +1,4 @@
-"""Value types for sampled boundary exits."""
+"""Value type for sampled boundary exits."""
 
 from __future__ import annotations
 
@@ -6,50 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METHODS = ("brownian", "wos", "exact")
-
-
-@dataclass(frozen=True)
-class ExitSample:
-    """One sampled exit through the domain boundary.
-
-    Fields
-    ------
-    exit_point
-        Boundary point where the process left the domain.
-    steps
-        Work counter; its meaning is per-method: timesteps taken
-        (brownian), sphere hops (wos), or proposals consumed (exact).
-    method
-        Which sampler produced this: "brownian" | "wos" | "exact".
-    exit_time
-        Elapsed process time at the exit. Only the timestepped sampler
-        has a clock, so this is None for the other methods.
-    """
-
-    exit_point: np.ndarray
-    steps: int
-    method: str
-    exit_time: float | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.method == "brownian":
-            if self.exit_time is None or not np.isfinite(self.exit_time) or self.exit_time < 0:
-                raise ValueError(f"brownian exits need a finite exit_time, got {self.exit_time}")
-        elif self.exit_time is not None:
-            raise ValueError(f"exit_time is undefined for method {self.method!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-
 
 @dataclass(frozen=True)
 class ExitBatch:
     """A batch of exits from one sampler run, one row per sample index.
 
-    ``points`` is (n, d); ``steps`` is (n,); ``exit_times`` is (n,) for
-    the brownian method and None otherwise.
+    ``points`` is (n, d); ``steps`` is (n,), a per-method work count:
+    timesteps (brownian), sphere hops (wos) or proposals (exact);
+    ``exit_times`` is (n,) for the brownian method, the only one with a
+    clock, and None otherwise.
     """
 
     points: np.ndarray
@@ -58,6 +23,8 @@ class ExitBatch:
     exit_times: np.ndarray | None = None
 
     def __post_init__(self):
+        from .driver import METHODS  # the driver's kernels import this module
+
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
         if (self.exit_times is not None) != (self.method == "brownian"):
@@ -70,26 +37,12 @@ class ExitBatch:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def __getitem__(self, i: int) -> ExitSample:
-        t = float(self.exit_times[i]) if self.exit_times is not None else None
-        return ExitSample(self.points[i].copy(), int(self.steps[i]), self.method, t)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 def points_of(samples) -> np.ndarray:
-    """Exit points of an ExitBatch, array, or iterable of ExitSample, as (n, d)."""
+    """Exit points of an ExitBatch or an (n, d) array, as (n, d)."""
     if isinstance(samples, ExitBatch):
         return samples.points
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 2:
-            raise ValueError(f"expected (n, d) array, got shape {samples.shape}")
-        return samples
-    pts = [np.asarray(s.exit_point, dtype=np.float64) for s in samples]
-    if not pts:
-        raise ValueError("empty sample sequence")
-    dims = {p.shape[0] for p in pts}
-    if len(dims) != 1:
-        raise ValueError(f"mixed dimensions in samples: {sorted(dims)}")
-    return np.stack(pts)
+    pts = np.asarray(samples, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"expected (n, d) array, got shape {pts.shape}")
+    return pts

@@ -1,16 +1,12 @@
 """Domain descriptors: balls and axis-aligned boxes.
 
 Both families are open, bounded, and regular by construction, which is
-exactly what the exit samplers require. Two kinds of API live here:
-
-* scalar operations (``contains``, ``distance_to_boundary``,
-  ``project_to_boundary``, ``intersect_segment_with_boundary``) that
-  validate their inputs at every call boundary — silent broadcasting is
-  the classic failure mode of dimension-generic geometry, so dimension
-  mismatches raise immediately;
-* ``*_many`` batch variants operating on (m, d) arrays, used by the
-  vectorized sampling kernels. They validate the array shape once and
-  are bit-identical to mapping the scalar operation over rows.
+exactly what the exit samplers require. The operations work on (m, d)
+arrays of points, one row per walk, as the vectorized sampling kernels
+use them; each validates the array shape once, since silent
+broadcasting is the classic failure mode of dimension-generic geometry.
+``contains`` is the one single-point test, for start points, and runs
+through ``contains_many``.
 
 All operations are dimension-generic; nothing in this module special
 cases d.
@@ -41,23 +37,14 @@ class Domain(abc.ABC):
 
     dimension: int
 
-    @abc.abstractmethod
     def contains(self, p) -> bool:
-        """True iff p lies strictly inside the open domain."""
-
-    @abc.abstractmethod
-    def distance_to_boundary(self, p) -> float:
-        """Euclidean distance from an interior point to the boundary."""
-
-    @abc.abstractmethod
-    def project_to_boundary(self, p) -> np.ndarray:
-        """Nearest boundary point to an interior point (deterministic ties)."""
+        """True iff the point p lies strictly inside the open domain."""
+        q = as_point(p, self.dimension)
+        return bool(self.contains_many(q[None, :])[0])
 
     @abc.abstractmethod
     def diameter(self) -> float:
         """Diameter of the domain (supremum of pairwise distances)."""
-
-    # -- batch variants ------------------------------------------------
 
     @abc.abstractmethod
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
@@ -69,11 +56,11 @@ class Domain(abc.ABC):
 
     @abc.abstractmethod
     def distance_to_boundary_many(self, pts: np.ndarray) -> np.ndarray:
-        ...
+        """Euclidean distance from each interior row to the boundary."""
 
     @abc.abstractmethod
     def project_to_boundary_many(self, pts: np.ndarray) -> np.ndarray:
-        ...
+        """Nearest boundary point to each interior row (deterministic ties)."""
 
     @abc.abstractmethod
     def crossing_many(self, inside: np.ndarray, outside: np.ndarray):
@@ -86,24 +73,6 @@ class Domain(abc.ABC):
     @abc.abstractmethod
     def project_outside_many(self, pts: np.ndarray) -> np.ndarray:
         """Nearest boundary point for each row lying outside the closed domain."""
-
-    # -- scalar wrappers built on the batch kernels ---------------------
-
-    def intersect_segment_with_boundary(self, inside, outside) -> np.ndarray:
-        """The unique boundary crossing of the segment (inside, outside).
-
-        ``inside`` must lie strictly inside the open domain and
-        ``outside`` strictly outside it (a point exactly on the boundary
-        counts as outside the open domain and yields t = 1).
-        """
-        a = as_point(inside, self.dimension)
-        b = as_point(outside, self.dimension)
-        if not self.contains(a):
-            raise ValueError(f"segment start {a} is not strictly inside the domain")
-        if self.contains(b):
-            raise ValueError(f"segment end {b} is inside the domain; no crossing")
-        pts, _ = self.crossing_many(a[None, :], b[None, :])
-        return pts[0]
 
     def _check_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
@@ -131,31 +100,6 @@ class Ball(Domain):
     @property
     def dimension(self) -> int:
         return self.center.shape[0]
-
-    # Scalar ops delegate to the batch ops on a one-row array so that the
-    # two agree bit-for-bit (dot and einsum reductions may round apart).
-
-    def contains(self, p) -> bool:
-        q = as_point(p, self.dimension)
-        return bool(self.contains_many(q[None, :])[0])
-
-    def distance_to_boundary(self, p) -> float:
-        q = as_point(p, self.dimension)
-        dist = float(self.distance_to_boundary_many(q[None, :])[0])
-        if dist <= 0:
-            raise ValueError(f"point {p} is not strictly inside the ball")
-        return dist
-
-    def project_to_boundary(self, p) -> np.ndarray:
-        q = as_point(p, self.dimension)
-        if not self.contains(q):
-            # On the boundary (or outside by rounding): nothing to project.
-            v = q - self.center
-            rho = float(np.sqrt(np.einsum("ij,ij->i", v[None, :], v[None, :])[0]))
-            if rho <= (1.0 + 1e-12) * self.radius:
-                return q.copy()
-            raise ValueError(f"point {p} is outside the ball")
-        return self.project_to_boundary_many(q[None, :])[0]
 
     def _land_on_boundary(self, v, rho):
         """Map interior offsets v (rows, with norms rho > 0) radially onto
@@ -242,27 +186,6 @@ class BoxDomain(Domain):
     @property
     def dimension(self) -> int:
         return self.lower.shape[0]
-
-    def contains(self, p) -> bool:
-        q = as_point(p, self.dimension)
-        return bool(np.all(q > self.lower) and np.all(q < self.upper))
-
-    def distance_to_boundary(self, p) -> float:
-        q = as_point(p, self.dimension)
-        dist = float(min(np.min(q - self.lower), np.min(self.upper - q)))
-        if dist <= 0:
-            raise ValueError(f"point {p} is not strictly inside the box")
-        return dist
-
-    def project_to_boundary(self, p) -> np.ndarray:
-        q = as_point(p, self.dimension)
-        face_dists = self._face_distances(q[None, :])[0]
-        if np.min(face_dists) < 0:
-            raise ValueError(f"point {p} is outside the box")
-        j = int(np.argmin(face_dists))  # first minimum: lowest coord, lower face first
-        out = q.copy()
-        out[j >> 1] = self.upper[j >> 1] if j & 1 else self.lower[j >> 1]
-        return out
 
     def diameter(self) -> float:
         v = self.upper - self.lower

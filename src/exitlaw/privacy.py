@@ -17,16 +17,14 @@ reports carry no prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import driver
 from .ball import theoretical_trace
 from .brownian import BrownianConfig
-from .exits import ExitBatch
 from .geometry import Ball, Domain, as_point
-from .wos import WosConfig
 
 
 @dataclass(frozen=True)
@@ -35,18 +33,14 @@ class CloakScenario:
 
     Trips are memoryless, always start at the house, and are reduced to
     their boundary exit points immediately — the exit points are all
-    the observer gets. ``sampler`` picks which exit sampler generates
-    them (all three draw the same law); dt / epsilon / step_fraction
-    configure it where relevant.
+    the observer gets. ``sampler`` is the config of the exit sampler
+    that generates them (all three draw the same law).
     """
 
     house: np.ndarray
     privacy_region: Domain
     trips: int
-    sampler: str = "brownian"
-    dt: float = 1e-4
-    epsilon: float | None = None
-    step_fraction: float = 0.5
+    sampler: driver.Sampler = BrownianConfig()
 
     def __post_init__(self):
         house = as_point(self.house, self.privacy_region.dimension)
@@ -54,8 +48,7 @@ class CloakScenario:
             raise ValueError(f"house {house} must lie strictly inside the privacy region")
         if self.trips < 1:
             raise ValueError(f"trips must be >= 1, got {self.trips}")
-        if self.sampler not in driver.METHODS:
-            raise ValueError(f"sampler must be one of {driver.METHODS}, got {self.sampler!r}")
+        driver.method_of(self.sampler)  # a ValueError unless a sampler config
         house.flags.writeable = False
         object.__setattr__(self, "house", house)
 
@@ -83,16 +76,6 @@ def predicted_rmse(scenario: CloakScenario) -> float | None:
                      / scenario.trips)
 
 
-def _draw_trips(scenario: CloakScenario, seed: int, n: int, context: int,
-                workers: int) -> ExitBatch:
-    bcfg = BrownianConfig(dt=scenario.dt) if scenario.sampler == "brownian" else None
-    wcfg = (WosConfig(epsilon=scenario.epsilon, step_fraction=scenario.step_fraction)
-            if scenario.sampler == "wos" else None)
-    return driver.sample_exits(scenario.privacy_region, scenario.house,
-                               scenario.sampler, n, seed, context=context,
-                               workers=workers, brownian_cfg=bcfg, wos_cfg=wcfg)
-
-
 def run_attacks(scenario: CloakScenario, seed: int, replications: int,
                 context: int = 0, workers: int = 1) -> list[PrivacyReport]:
     """Mount ``replications`` independent sample-mean attacks.
@@ -103,8 +86,9 @@ def run_attacks(scenario: CloakScenario, seed: int, replications: int,
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    batch = _draw_trips(scenario, seed, replications * scenario.trips,
-                        context, workers)
+    batch = driver.sample_exits(scenario.privacy_region, scenario.house, scenario.sampler,
+                                replications * scenario.trips, seed, context=context,
+                                workers=workers)
     pts = batch.points.reshape(replications, scenario.trips, -1)
     estimates = pts.mean(axis=1)
     diffs = estimates - scenario.house
@@ -145,10 +129,7 @@ def privacy_curve(scenario: CloakScenario, trips_grid, replications: int,
     """
     points = []
     for g, trips in enumerate(trips_grid):
-        cell = CloakScenario(
-            house=scenario.house, privacy_region=scenario.privacy_region,
-            trips=int(trips), sampler=scenario.sampler, dt=scenario.dt,
-            epsilon=scenario.epsilon, step_fraction=scenario.step_fraction)
+        cell = replace(scenario, trips=int(trips))
         reports = run_attacks(cell, seed, replications, context=g, workers=workers)
         emp = math.sqrt(float(np.mean([rep.error ** 2 for rep in reports])))
         pred = reports[0].predicted_rmse

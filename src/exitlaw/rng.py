@@ -22,12 +22,11 @@ with ``u1 = ((w >> 11) + 1) * 2^-53`` in (0, 1] (so the log never sees
 zero) and ``u2 = (w >> 11) * 2^-53`` in [0, 1). Box-Muller is
 rejection-free, so Gaussian index ``k`` is a pure function of the
 counter — any slice of the deviate sequence can be generated without
-buffering, which keeps batched kernels bit-identical to scalar ones.
+buffering, so a kernel's draws do not depend on how it windows or
+batches its requests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,72 +92,6 @@ def gaussian_values(seed: int, stream_ids, start: int, count: int,
     off = start - 2 * p0
     g = g[:, off : off + count]
     return g[0] if scalar else g
-
-
-@dataclass
-class RngStream:
-    """A deterministic random stream addressed by (seed, stream_id).
-
-    Sequential draws advance private cursors; the underlying values are
-    counter-addressed, so a stream's whole future is fixed by its key
-    and how many values of each kind were consumed so far.
-    """
-
-    seed: int
-    stream_id: int
-    _ucur: int = field(default=0, repr=False)
-    _gcur: int = field(default=0, repr=False)
-    _rcur: int = field(default=0, repr=False)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        out = uniform_values(self.seed, self.stream_id, self._ucur, n)
-        self._ucur += n
-        return out
-
-    def gaussians(self, n: int) -> np.ndarray:
-        out = gaussian_values(self.seed, self.stream_id, self._gcur, n)
-        self._gcur += n
-        return out
-
-    def retry_gaussians(self, n: int) -> np.ndarray:
-        out = gaussian_values(self.seed, self.stream_id, self._rcur, n,
-                              substream=TAG_RETRY)
-        self._rcur += n
-        return out
-
-
-def gaussian_vector(stream: RngStream, d: int) -> np.ndarray:
-    """d independent standard normal deviates from the stream.
-
-    Parameters
-    ----------
-    stream : RngStream
-    d : int
-        Dimension, at least 1.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return stream.gaussians(d)
-
-
-def uniform_on_sphere(stream: RngStream, center, radius: float) -> np.ndarray:
-    """A uniform point at exact distance ``radius`` from ``center``.
-
-    Normalizes a Gaussian vector and rescales. If the Gaussian vector's
-    norm is below NORM_FLOOR (probability ~0, but division must be
-    safe), the vector is redrawn from the stream's retry substream. In
-    one dimension this degenerates to center +/- radius with equal
-    probability, which the generic normalization already delivers.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    if not np.isfinite(radius) or radius <= 0:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    g = stream.gaussians(center.shape[0])
-    norm = np.sqrt(g @ g)
-    while norm < NORM_FLOOR:
-        g = stream.retry_gaussians(center.shape[0])
-        norm = np.sqrt(g @ g)
-    return center + (radius / norm) * g
 
 
 def unit_rows(g: np.ndarray, redraw) -> np.ndarray:
@@ -233,8 +166,3 @@ def sphere_rows(seed: int, stream_ids: np.ndarray, gauss_start: int, d: int,
         out[:, t] = unit_rows(g[:, t], redraw)
     return out
 
-
-def unit_vectors(stream: RngStream, n: int, d: int) -> np.ndarray:
-    """n unit-sphere directions drawn sequentially from one stream."""
-    g = stream.gaussians(n * d).reshape(n, d)
-    return unit_rows(g, lambda rows: stream.retry_gaussians(rows.size * d).reshape(-1, d))

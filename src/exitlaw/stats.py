@@ -3,9 +3,8 @@
 The estimators are the plain ones: componentwise mean, covariance trace
 as the sum of unbiased (n-1) per-coordinate variances, standard errors
 for both, with the trace SE by the delta method (the SE of the mean of
-W_j = |Y_j - mean|^2). Accumulation is one-pass over batches of moment
-accumulators that merge associatively, so partial results from parallel
-workers combine deterministically.
+W_j = |Y_j - mean|^2). The moments are taken in one pass over the whole
+sample, which the driver reassembles from its workers in sample order.
 
 Comparison rows score each statistic as a z-value against the
 closed-form mean/trace and flag PASS when every |z| <= 4 — wide enough
@@ -21,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import driver
+from .ball import theoretical_trace
+from .brownian import BrownianConfig
 from .exits import points_of
 from .geometry import Ball, Domain, as_point
-from .ball import theoretical_trace
+from .wos import WosConfig
 
 #: PASS threshold on |z|.
 Z_MAX = 4.0
@@ -34,13 +35,12 @@ TABLE1_SETTINGS = tuple((d, rho) for d in (2, 3, 4) for rho in (0.2, 0.5, 0.8))
 
 @dataclass(frozen=True)
 class RunningMoments:
-    """Mergeable one-pass moments of a point sample.
+    """One-pass moments of a point sample.
 
     Carries everything needed to reconstruct mean, covariance trace,
-    and their standard errors after any sequence of merges: the count,
-    the mean vector, the centered second-moment matrix, and the mean /
-    second moment / cross moment of Q = |Y|^2 (which the delta-method
-    trace SE needs).
+    and their standard errors: the count, the mean vector, the centered
+    second-moment matrix, and the mean / second moment / cross moment of
+    Q = |Y|^2 (which the delta-method trace SE needs).
     """
 
     n: int
@@ -68,25 +68,6 @@ class RunningMoments:
             q_mean=q_mean,
             q_m2=float(qdev @ qdev),
             qy_m2=qdev @ dev,
-        )
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        if self.mean.shape != other.mean.shape:
-            raise ValueError("cannot merge moments of different dimensions")
-        na, nb = self.n, other.n
-        n = na + nb
-        # The merged mean is literally the weighted combination of batch means.
-        mean = (na * self.mean + nb * other.mean) / n
-        delta = other.mean - self.mean
-        qdelta = other.q_mean - self.q_mean
-        w = na * nb / n
-        return RunningMoments(
-            n=n,
-            mean=mean,
-            cov_m2=self.cov_m2 + other.cov_m2 + w * np.outer(delta, delta),
-            q_mean=(na * self.q_mean + nb * other.q_mean) / n,
-            q_m2=self.q_m2 + other.q_m2 + w * qdelta * qdelta,
-            qy_m2=self.qy_m2 + other.qy_m2 + w * qdelta * delta,
         )
 
     def summary(self) -> "SummaryStats":
@@ -149,9 +130,13 @@ class ComparisonRow:
     note: str = ""
 
 
-def compare(summary: SummaryStats, domain: Domain, theta, *, method: str = "",
-            dt: float | None = None, epsilon: float | None = None) -> ComparisonRow:
-    """Score a summary against the closed-form mean (and trace, for balls)."""
+def compare(summary: SummaryStats, domain: Domain, theta, *,
+            sampler: driver.Sampler | None = None) -> ComparisonRow:
+    """Score a summary against the closed-form mean (and trace, for balls).
+
+    ``sampler`` is the config that drew the sample; it fills the row's
+    method, dt and epsilon cells.
+    """
     theta = as_point(theta, domain.dimension)
     if summary.mean.shape[0] != domain.dimension:
         raise ValueError(
@@ -173,29 +158,29 @@ def compare(summary: SummaryStats, domain: Domain, theta, *, method: str = "",
     return ComparisonRow(
         d=domain.dimension,
         theta=tuple(float(v) for v in theta),
-        method=method,
+        method=driver.method_of(sampler) if sampler is not None else "",
         n=summary.n,
         summary=summary,
         trace_theory=trace_theory,
         z_mean=tuple(float(z) for z in z_mean),
         z_trace=z_trace,
         passed=ok,
-        dt=dt,
-        epsilon=epsilon,
+        dt=sampler.dt if isinstance(sampler, BrownianConfig) else None,
+        epsilon=sampler.resolve_epsilon(domain) if isinstance(sampler, WosConfig) else None,
         note=note,
     )
 
 
 @dataclass(frozen=True)
 class TableConfig:
-    """Knobs for the nine-setting reproduction run."""
+    """Sampler and sample size for the nine-setting reproduction run."""
 
-    method: str = "brownian"
+    sampler: driver.Sampler = BrownianConfig()
     n: int = 500
-    dt: float = 1e-4
-    epsilon: float | None = None
-    step_fraction: float = 0.5
     workers: int = 1
+
+    def __post_init__(self):
+        driver.method_of(self.sampler)  # a ValueError unless a sampler config
 
 
 def reproduce_table1(cfg: TableConfig, seed: int) -> list[ComparisonRow]:
@@ -206,23 +191,12 @@ def reproduce_table1(cfg: TableConfig, seed: int) -> list[ComparisonRow]:
     Row k draws from stream context k, so rows are independent and any
     row can be recomputed in isolation.
     """
-    from . import brownian as brw
-    from . import wos as wos_mod
-
     rows = []
     for k, (d, rho) in enumerate(TABLE1_SETTINGS):
         domain = Ball(np.zeros(d), 1.0)
         theta = np.zeros(d)
         theta[0] = rho
-        bcfg = brw.BrownianConfig(dt=cfg.dt) if cfg.method == "brownian" else None
-        wcfg = (wos_mod.WosConfig(epsilon=cfg.epsilon, step_fraction=cfg.step_fraction)
-                if cfg.method == "wos" else None)
-        batch = driver.sample_exits(domain, theta, cfg.method, cfg.n, seed,
-                                    context=k, workers=cfg.workers,
-                                    brownian_cfg=bcfg, wos_cfg=wcfg)
-        rows.append(compare(
-            summarize(batch), domain, theta, method=cfg.method,
-            dt=cfg.dt if cfg.method == "brownian" else None,
-            epsilon=wcfg.resolve_epsilon(domain) if cfg.method == "wos" else None,
-        ))
+        batch = driver.sample_exits(domain, theta, cfg.sampler, cfg.n, seed,
+                                    context=k, workers=cfg.workers)
+        rows.append(compare(summarize(batch), domain, theta, sampler=cfg.sampler))
     return rows

@@ -105,25 +105,3 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
 
     return ExitBatch(points, hops, "wos")
 
-
-@dataclass(frozen=True)
-class HopProfile:
-    """Hop-count summary over a batch of walks."""
-
-    n: int
-    mean: float
-    p95: float
-    max: int
-
-
-def hop_count_profile(domain: Domain, theta, cfg: WosConfig, n_samples: int,
-                      stream_seed: int) -> HopProfile:
-    """Run n_samples walks and summarize how many hops they took."""
-    ids = np.arange(n_samples, dtype=np.uint64)
-    batch = wos_exit_batch(domain, theta, cfg, stream_seed, ids)
-    return HopProfile(
-        n=n_samples,
-        mean=float(batch.steps.mean()),
-        p95=float(np.percentile(batch.steps, 95)),
-        max=int(batch.steps.max()),
-    )

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from exitlaw import cli, driver, rng
+from exitlaw import cli, driver
 from exitlaw.ball import (
     kernel_normalization,
     second_moment_quadrature,
     theoretical_trace,
 )
 from exitlaw.brownian import BrownianConfig
+from exitlaw.driver import ExactConfig
 from exitlaw.cli import main
 from exitlaw.geometry import Ball, BoxDomain
 from exitlaw.privacy import CloakScenario, run_attacks
 from exitlaw.stats import summarize
+from exitlaw.wos import WosConfig
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -76,7 +78,7 @@ def test_criterion_2_box_domain_unbiasedness(capsys):
     worst = 0.0
     ok = True
     for ctx, theta in enumerate([(0.5, 0.5), (1.0, 0.3), (1.7, 0.8)]):
-        batch = driver.sample_exits(box, np.array(theta), "wos", 10_000,
+        batch = driver.sample_exits(box, np.array(theta), WosConfig(), 10_000,
                                     seed=0, context=ctx)
         mean = batch.points.mean(axis=0)
         se = batch.points.std(axis=0, ddof=1) / math.sqrt(len(batch))
@@ -100,7 +102,7 @@ def test_criterion_3_trace_precision_run(capsys):
         for rho in (0.0, 0.5, 0.8):
             theta = np.zeros(d)
             theta[0] = rho
-            batch = driver.sample_exits(ball, theta, "exact", 100_000,
+            batch = driver.sample_exits(ball, theta, ExactConfig(), 100_000,
                                         seed=0, context=ctx)
             ctx += 1
             s = summarize(batch)
@@ -126,9 +128,8 @@ def test_criterion_4_exit_time_identity(capsys):
         for rho in (0.0, 0.5):
             theta = np.zeros(d)
             theta[0] = rho
-            batch = driver.sample_exits(ball, theta, "brownian", 2000, seed=0,
-                                        context=ctx,
-                                        brownian_cfg=BrownianConfig(dt=dt))
+            batch = driver.sample_exits(ball, theta, BrownianConfig(dt=dt), 2000, seed=0,
+                                        context=ctx)
             ctx += 1
             times = batch.exit_times
             err = abs(float(times.mean()) - (1.0 - rho * rho) / d)
@@ -152,8 +153,7 @@ def test_criterion_5_kernel_normalization_and_quadrature_identity(capsys):
         err2 = abs(kernel_normalization(disk, x2, 10_000) - 1.0)
         sphere = Ball(np.zeros(3), 1.0)
         x3 = np.array([rho, 0.0, 0.0])
-        stream = rng.RngStream(seed=0, stream_id=0)
-        err3 = abs(kernel_normalization(sphere, x3, 1_000_000, stream) - 1.0)
+        err3 = abs(kernel_normalization(sphere, x3, 1_000_000, seed=0) - 1.0)
         errq = abs(second_moment_quadrature(disk, x2) - theoretical_trace(disk, x2))
         worst2, worst3, worst_q = (max(worst2, err2), max(worst3, err3),
                                    max(worst_q, errq))
@@ -171,8 +171,8 @@ def test_criterion_6_cross_sampler_agreement(capsys):
     theta = np.array([0.5, 0.0])
     counts = {}
     for ctx, method in enumerate(("exact", "wos", "brownian")):
-        batch = driver.sample_exits(ball, theta, method, 10_000, seed=0,
-                                    context=ctx)
+        batch = driver.sample_exits(ball, theta, driver.sampler_config(method), 10_000,
+                                    seed=0, context=ctx)
         counts[method] = arc_counts(batch.points)
     crit = chi2.ppf(0.999, 35)
     stats = {
@@ -198,7 +198,7 @@ def test_criterion_7_privacy_error_law(capsys):
         for j, trips in enumerate(trip_counts):
             scn = CloakScenario(house=np.array([rho, 0.0]),
                                 privacy_region=Ball(np.zeros(2), 1.0),
-                                trips=trips, sampler="exact")
+                                trips=trips, sampler=ExactConfig())
             reports = run_attacks(scn, seed=0, replications=500, context=ctx)
             ctx += 1
             sq = np.array([rep.error ** 2 for rep in reports])

@@ -15,7 +15,6 @@ from exitlaw.ball import (KernelQuery, MaxProposalsExceeded, arc_probabilities,
                           sphere_surface_area, theoretical_mean, theoretical_trace)
 from exitlaw import rng
 from exitlaw.geometry import BoxDomain
-from exitlaw.rng import RngStream
 
 
 def unit_ball(d):
@@ -80,10 +79,10 @@ def test_normalization_monte_carlo(d):
     x[0] = 0.5
     # SE of the surface-area-weighted kernel mean is ~5e-3 at this n;
     # 0.02 is ~4 SE (the tight 5e-3 budget belongs to the 1e6-sample runs)
-    norm = kernel_normalization(b, x, 300_000, stream=RngStream(seed=0, stream_id=0))
+    norm = kernel_normalization(b, x, 300_000, seed=0)
     assert abs(norm - 1.0) <= 0.02
     # center start: the kernel is constant, so MC is exact at any n
-    exact = kernel_normalization(b, np.zeros(d), 128, stream=RngStream(seed=0, stream_id=0))
+    exact = kernel_normalization(b, np.zeros(d), 128, seed=0)
     assert abs(exact - 1.0) <= 1e-12
 
 

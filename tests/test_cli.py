@@ -103,6 +103,10 @@ def test_missing_command_exits_2():
     ("privacy --replications 0", "--replications"),
     ("privacy --trips-grid 10,0", "--trips-grid"),
     ("privacy --house 0.5,0,0 --center 0,0", "same dimension"),
+    ("table1 --seed -1", "--seed must lie in [0, 2^64), got -1"),
+    ("sample --seed 18446744073709551616",
+     "--seed must lie in [0, 2^64), got 18446744073709551616"),
+    ("kernel-check --seed -18446744073709551615", "--seed must lie in [0, 2^64)"),
 ])
 def test_out_of_range_values_exit_2(argv, fragment, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -195,6 +199,26 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         parse_args(["table1", "--config", str(tmp_path / "nope.json")])
     assert exc.value.code == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_config_seed_outside_64_bits_exits_2(tmp_path, seed, capsys):
+    # Philox keys on the seed modulo 2^64, so such a seed would alias one in range
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": seed}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--method", "exact", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--seed must lie in [0, 2^64), got {seed}" in err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--method", "exact", "--n", "20", "--seed", str(2 ** 64 - 1),
+                 "--out", str(out)]) in (0, 1)
+    assert f"seed={2 ** 64 - 1}" in out.read_text()
 
 
 def test_config_values_still_validated(tmp_path, capsys):

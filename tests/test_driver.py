@@ -1,12 +1,16 @@
-"""Tests for the sampling driver and the exit value types."""
+"""Tests for the sampling driver, its sampler registry and the exit value type."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from exitlaw import driver
 from exitlaw.brownian import BrownianConfig
-from exitlaw.exits import ExitBatch, ExitSample, points_of
+from exitlaw.driver import ExactConfig
+from exitlaw.exits import ExitBatch, points_of
 from exitlaw.geometry import Ball, BoxDomain
+from exitlaw.wos import WosConfig
 
 DISK = Ball(np.zeros(2), 1.0)
 THETA = np.array([0.3, 0.1])
@@ -42,23 +46,44 @@ def test_stream_block_range_validation(context, n):
 
 
 def test_sample_exits_validates_method_and_n():
-    with pytest.raises(ValueError, match="method"):
-        driver.sample_exits(DISK, THETA, "teleport", 10, seed=0)
+    # a method name, a missing config or any other object is not a config
+    for not_a_config in ("teleport", "wos", None, WosConfig):
+        with pytest.raises(ValueError, match=r"sampler must be a config of a method in "
+                                             r"\('brownian', 'wos', 'exact'\)"):
+            driver.sample_exits(DISK, THETA, not_a_config, 10, seed=0)
     with pytest.raises(ValueError, match="n >= 1"):
-        driver.sample_exits(DISK, THETA, "wos", 0, seed=0)
+        driver.sample_exits(DISK, THETA, WosConfig(), 0, seed=0)
 
 
 def test_exact_method_rejects_non_ball_domains():
     box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="balls only"):
-        driver.sample_exits(box, np.array([0.1, 0.2]), "exact", 10, seed=0)
+        driver.sample_exits(box, np.array([0.1, 0.2]), ExactConfig(), 10, seed=0)
+
+
+def test_registry_maps_each_method_to_one_config_type():
+    assert driver.METHODS == ("brownian", "wos", "exact")
+    assert [driver.method_of(cls()) for cls in driver.SAMPLERS.values()] == list(driver.METHODS)
+    assert ExactConfig() == ExactConfig() and not dataclasses.fields(ExactConfig)
+
+
+def test_sampler_config_takes_each_method_its_own_knobs():
+    knobs = dict(dt=1e-3, exit_rule="first-outside", epsilon=1e-5, step_fraction=0.9)
+    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(
+        dt=1e-3, exit_rule="first-outside")
+    assert driver.sampler_config("wos", **knobs) == WosConfig(epsilon=1e-5, step_fraction=0.9)
+    assert driver.sampler_config("exact", **knobs) == ExactConfig()
+    assert driver.sampler_config("wos") == WosConfig()
+    with pytest.raises(ValueError, match=r"method must be one of \('brownian', 'wos', 'exact'\)"):
+        driver.sampler_config("teleport")
+    with pytest.raises(ValueError, match="step_fraction"):
+        driver.sampler_config("wos", step_fraction=1.5)
 
 
 def test_dispatch_tags_and_clock_presence():
     for method in driver.METHODS:
-        cfg = BrownianConfig(dt=1e-3) if method == "brownian" else None
-        batch = driver.sample_exits(DISK, THETA, method, 8, seed=0,
-                                    brownian_cfg=cfg)
+        batch = driver.sample_exits(DISK, THETA, driver.sampler_config(method, dt=1e-3),
+                                    8, seed=0)
         assert batch.method == method
         assert len(batch) == 8 and batch.dimension == 2
         if method == "brownian":
@@ -68,22 +93,20 @@ def test_dispatch_tags_and_clock_presence():
 
 
 def test_context_moves_streams_seed_held_fixed():
-    a = driver.sample_exits(DISK, THETA, "wos", 32, seed=4, context=0)
-    b = driver.sample_exits(DISK, THETA, "wos", 32, seed=4, context=1)
-    c = driver.sample_exits(DISK, THETA, "wos", 32, seed=4, context=0)
+    a = driver.sample_exits(DISK, THETA, WosConfig(), 32, seed=4, context=0)
+    b = driver.sample_exits(DISK, THETA, WosConfig(), 32, seed=4, context=1)
+    c = driver.sample_exits(DISK, THETA, WosConfig(), 32, seed=4, context=0)
     assert not np.array_equal(a.points, b.points)
     assert np.array_equal(a.points, c.points)
 
 
 def test_worker_chunking_reassembles_identically():
-    lone = driver.sample_exits(DISK, THETA, "wos", 50, seed=2, workers=1)
-    pool = driver.sample_exits(DISK, THETA, "wos", 50, seed=2, workers=7)
+    lone = driver.sample_exits(DISK, THETA, WosConfig(), 50, seed=2, workers=1)
+    pool = driver.sample_exits(DISK, THETA, WosConfig(), 50, seed=2, workers=7)
     assert np.array_equal(lone.points, pool.points)
     assert np.array_equal(lone.steps, pool.steps)
-    timed = driver.sample_exits(DISK, THETA, "brownian", 20, seed=2, workers=3,
-                                brownian_cfg=BrownianConfig(dt=1e-3))
-    timed1 = driver.sample_exits(DISK, THETA, "brownian", 20, seed=2, workers=1,
-                                 brownian_cfg=BrownianConfig(dt=1e-3))
+    timed = driver.sample_exits(DISK, THETA, BrownianConfig(dt=1e-3), 20, seed=2, workers=3)
+    timed1 = driver.sample_exits(DISK, THETA, BrownianConfig(dt=1e-3), 20, seed=2, workers=1)
     assert np.array_equal(timed.exit_times, timed1.exit_times)
 
 
@@ -104,32 +127,15 @@ def test_thread_pool_is_clamped(monkeypatch, workers, n, cpus, threads):
 
     monkeypatch.setattr(driver, "ThreadPoolExecutor", recording)
     monkeypatch.setattr(driver.os, "cpu_count", lambda: cpus)
-    got = driver.sample_exits(DISK, THETA, "exact", n, seed=2, workers=workers)
+    got = driver.sample_exits(DISK, THETA, ExactConfig(), n, seed=2, workers=workers)
     assert seen == ([] if threads is None else [threads])
-    want = driver.sample_exits(DISK, THETA, "exact", n, seed=2)
+    want = driver.sample_exits(DISK, THETA, ExactConfig(), n, seed=2)
     assert np.array_equal(got.points, want.points)
 
 
 # ---------------------------------------------------------------------------
-# exit value types
+# exit value type
 # ---------------------------------------------------------------------------
-
-
-def test_exit_sample_validation():
-    p = np.array([1.0, 0.0])
-    ExitSample(p, 3, "brownian", exit_time=0.25)
-    ExitSample(p, 3, "wos")
-    ExitSample(p, 0, "exact")
-    with pytest.raises(ValueError, match="method tag"):
-        ExitSample(p, 3, "levy")
-    with pytest.raises(ValueError, match="exit_time"):
-        ExitSample(p, 3, "brownian")
-    with pytest.raises(ValueError, match="exit_time"):
-        ExitSample(p, 3, "brownian", exit_time=float("nan"))
-    with pytest.raises(ValueError, match="undefined"):
-        ExitSample(p, 3, "wos", exit_time=0.25)
-    with pytest.raises(ValueError, match="steps"):
-        ExitSample(p, -1, "exact")
 
 
 def test_exit_batch_times_iff_brownian():
@@ -146,37 +152,15 @@ def test_exit_batch_times_iff_brownian():
         ExitBatch(pts, steps, "levy")
 
 
-def test_exit_batch_indexing_and_iteration():
-    batch = driver.sample_exits(DISK, THETA, "brownian", 5, seed=1,
-                                brownian_cfg=BrownianConfig(dt=1e-3))
-    one = batch[2]
-    assert isinstance(one, ExitSample)
-    assert np.array_equal(one.exit_point, batch.points[2])
-    assert one.steps == int(batch.steps[2])
-    assert one.exit_time == float(batch.exit_times[2])
-    # indexing hands out copies, not views into the batch
-    one.exit_point[0] = 99.0
-    assert batch.points[2, 0] != 99.0
-    samples = list(batch)
-    assert len(samples) == 5
-    assert all(s.method == "brownian" for s in samples)
-
-
 def test_points_of_accepts_batch_array_and_samples():
-    batch = driver.sample_exits(DISK, THETA, "exact", 6, seed=0)
+    batch = driver.sample_exits(DISK, THETA, ExactConfig(), 6, seed=0)
     assert points_of(batch) is batch.points
     arr = np.zeros((3, 2))
     assert points_of(arr) is arr
-    stacked = points_of(list(batch))
-    assert np.array_equal(stacked, batch.points)
 
 
 def test_points_of_rejects_bad_input():
     with pytest.raises(ValueError, match="shape"):
         points_of(np.zeros(3))
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="shape"):
         points_of([])
-    mixed = [ExitSample(np.array([1.0, 0.0]), 1, "exact"),
-             ExitSample(np.array([1.0, 0.0, 0.0]), 1, "exact")]
-    with pytest.raises(ValueError, match="mixed dimensions"):
-        points_of(mixed)

@@ -29,61 +29,58 @@ def test_box_contains():
     assert not box.contains((1.0, 1.0))
 
 
+def rows(*pts):
+    return np.array(pts, dtype=float)
+
+
 def test_ball_distance_examples():
     b = unit_ball(2)
-    assert b.distance_to_boundary((0.0, 0.0)) == 1.0
-    assert b.distance_to_boundary((0.8, 0.0)) == pytest.approx(0.2, abs=1e-15)
+    dist = b.distance_to_boundary_many(rows((0.0, 0.0), (0.8, 0.0)))
+    assert dist[0] == 1.0
+    assert dist[1] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_box_distance_example():
     box = BoxDomain((0.0, 0.0), (2.0, 1.0))
     # face distances (0.3, 1.7, 0.4, 0.6) -> min 0.3
-    assert box.distance_to_boundary((0.3, 0.4)) == pytest.approx(0.3)
+    assert box.distance_to_boundary_many(rows((0.3, 0.4)))[0] == pytest.approx(0.3)
 
 
 def test_ball_projection_examples():
-    assert np.allclose(unit_ball(2).project_to_boundary((0.5, 0.0)), (1.0, 0.0))
+    assert np.allclose(unit_ball(2).project_to_boundary_many(rows((0.5, 0.0))), [(1.0, 0.0)])
     b2 = Ball(np.zeros(2), 2.0)
-    assert np.allclose(b2.project_to_boundary((0.0, -1.0)), (0.0, -2.0))
+    assert np.allclose(b2.project_to_boundary_many(rows((0.0, -1.0))), [(0.0, -2.0)])
 
 
 def test_box_projection_example_and_tiebreak():
     box = BoxDomain((0.0, 0.0), (2.0, 1.0))
-    assert np.allclose(box.project_to_boundary((0.3, 0.4)), (0.0, 0.4))
-    # equidistant to x=0 and y=0: lowest coordinate index wins
+    assert np.allclose(box.project_to_boundary_many(rows((0.3, 0.4))), [(0.0, 0.4)])
     sq = BoxDomain((0.0, 0.0), (4.0, 4.0))
-    assert np.allclose(sq.project_to_boundary((0.5, 0.5)), (0.0, 0.5))
-    # equidistant to lower and upper face of the same axis: lower wins
-    assert np.allclose(sq.project_to_boundary((2.0, 1.0)), (2.0, 0.0))
+    # row 0 is equidistant to x=0 and y=0: lowest coordinate index wins;
+    # row 1 to the lower and upper face of the same axis: lower wins
+    got = sq.project_to_boundary_many(rows((0.5, 0.5), (2.0, 1.0)))
+    assert np.allclose(got, [(0.0, 0.5), (2.0, 0.0)])
 
 
 def test_projection_of_boundary_point_is_identity():
     b = unit_ball(3)
-    q = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(b.project_to_boundary(q), q)
+    q = rows((0.0, 1.0, 0.0))
+    assert np.array_equal(b.project_to_boundary_many(q), q)
 
 
 def test_ball_center_projection_is_deterministic():
     b = unit_ball(2)
-    assert np.allclose(b.project_to_boundary((0.0, 0.0)), (1.0, 0.0))
+    assert np.allclose(b.project_to_boundary_many(rows((0.0, 0.0))), [(1.0, 0.0)])
 
 
 def test_crossing_examples():
     b = unit_ball(2)
-    assert np.allclose(b.intersect_segment_with_boundary((0, 0), (2, 0)), (1, 0))
-    got = b.intersect_segment_with_boundary((0.6, 0.0), (0.6, 1.2))
-    assert np.allclose(got, (0.6, 0.8), atol=1e-12)
+    pts, t = b.crossing_many(rows((0, 0), (0.6, 0.0)), rows((2, 0), (0.6, 1.2)))
+    assert np.allclose(pts[0], (1, 0)) and t[0] == pytest.approx(0.5)
+    assert np.allclose(pts[1], (0.6, 0.8), atol=1e-12)
     box = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    got = box.intersect_segment_with_boundary((0.5, 0.5), (1.5, 0.5))
-    assert np.allclose(got, (1.0, 0.5))
-
-
-def test_crossing_requires_one_point_each_side():
-    b = unit_ball(2)
-    with pytest.raises(ValueError):
-        b.intersect_segment_with_boundary((0, 0), (0.5, 0))
-    with pytest.raises(ValueError):
-        b.intersect_segment_with_boundary((2, 0), (3, 0))
+    pts, _ = box.crossing_many(rows((0.5, 0.5)), rows((1.5, 0.5)))
+    assert np.allclose(pts, [(1.0, 0.5)])
 
 
 def test_dimension_mismatch_raises():
@@ -92,19 +89,6 @@ def test_dimension_mismatch_raises():
         b.contains((0.0, 0.0))
     with pytest.raises(ValueError):
         as_point((1.0, float("nan")))
-
-
-def test_interior_precondition_raises():
-    b = unit_ball(2)
-    with pytest.raises(ValueError):
-        b.distance_to_boundary((1.0, 0.0))
-    with pytest.raises(ValueError):
-        b.project_to_boundary((1.5, 0.0))
-    box = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        box.distance_to_boundary((1.0, 0.5))
-    with pytest.raises(ValueError):
-        box.project_to_boundary((2.0, 0.5))
 
 
 def test_constructor_validation():
@@ -166,10 +150,11 @@ def test_projection_lands_on_ball_boundary(d, data):
     u = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
     ball = Ball(np.linspace(-0.5, 0.5, d), 1.7)
     p = random_interior(u, ball)
-    q = ball.project_to_boundary(p)
+    q = ball.project_to_boundary_many(p[None, :])[0]
     assert abs(np.linalg.norm(q - ball.center) - ball.radius) <= 1e-12 * ball.radius
     assert not ball.contains(q)
-    assert np.linalg.norm(q - p) == pytest.approx(ball.distance_to_boundary(p), abs=1e-12)
+    dist = ball.distance_to_boundary_many(p[None, :])[0]
+    assert np.linalg.norm(q - p) == pytest.approx(dist, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -179,11 +164,12 @@ def test_projection_lands_on_box_boundary(d, data):
     u = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
     box = BoxDomain(np.zeros(d), np.arange(1.0, d + 1.0))
     p = random_interior(u, box)
-    q = box.project_to_boundary(p)
+    q = box.project_to_boundary_many(p[None, :])[0]
     on_face = np.any((np.abs(q - box.lower) == 0) | (np.abs(q - box.upper) == 0))
     assert on_face
     assert not box.contains(q)
-    assert np.linalg.norm(q - p) == pytest.approx(box.distance_to_boundary(p), abs=1e-12)
+    dist = box.distance_to_boundary_many(p[None, :])[0]
+    assert np.linalg.norm(q - p) == pytest.approx(dist, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -198,7 +184,7 @@ def test_crossing_reconstruction(d, data):
         direction = v if np.linalg.norm(v) > 1e-3 else np.ones(d)
         direction = direction / np.linalg.norm(direction)
         b = a + 4.0 * domain.diameter() * direction   # certainly outside
-        q = domain.intersect_segment_with_boundary(a, b)
+        q = domain.crossing_many(a[None, :], b[None, :])[0][0]
         # q lies on the segment: recover t by projection onto (b - a)
         t = float((q - a) @ (b - a) / ((b - a) @ (b - a)))
         assert 0.0 < t <= 1.0
@@ -217,8 +203,8 @@ def test_distance_vanishes_along_rays(d):
             inside, edge = np.array(domain.center), 2.0 * np.eye(d)[0]
         else:
             inside, edge = np.full(d, 0.5), np.concatenate([[1.0], np.full(d - 1, 0.5)])
-        dists = [domain.distance_to_boundary(inside + f * (edge - inside))
-                 for f in [0.0, 0.9, 0.99, 0.999, 0.9999]]
+        fracs = np.array([0.0, 0.9, 0.99, 0.999, 0.9999])
+        dists = list(domain.distance_to_boundary_many(inside + fracs[:, None] * (edge - inside)))
         assert all(x > 0 for x in dists)
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-3 * domain.diameter()
@@ -226,6 +212,7 @@ def test_distance_vanishes_along_rays(d):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_batch_ops_match_scalar(d):
+    # each row of a batch equals the same op on that row alone
     rs = np.random.default_rng(d)   # plain numpy rng is fine for *test inputs*
     for domain in (Ball(rs.normal(size=d), 1.5),
                    BoxDomain(np.zeros(d), np.full(d, 2.0))):
@@ -233,8 +220,9 @@ def test_batch_ops_match_scalar(d):
         dist_b = domain.distance_to_boundary_many(pts)
         proj_b = domain.project_to_boundary_many(pts)
         for i in range(32):
-            assert dist_b[i] == domain.distance_to_boundary(pts[i])
-            assert np.array_equal(proj_b[i], domain.project_to_boundary(pts[i]))
+            assert dist_b[i] == domain.distance_to_boundary_many(pts[i:i + 1])[0]
+            assert np.array_equal(proj_b[i], domain.project_to_boundary_many(pts[i:i + 1])[0])
+            assert domain.contains(pts[i])
         assert domain.contains_many(pts).all()
         assert not domain.exited_many(pts).any()
 
@@ -248,8 +236,8 @@ def test_crossing_many_matches_scalar():
     outside[np.linalg.norm(outside, axis=1) <= 1.0] += 2.0
     pts, t = b.crossing_many(inside, outside)
     for i in range(16):
-        q = b.intersect_segment_with_boundary(inside[i], outside[i])
-        assert np.array_equal(pts[i], q)
+        q, _ = b.crossing_many(inside[i:i + 1], outside[i:i + 1])
+        assert np.array_equal(pts[i], q[0])
         assert 0.0 < t[i] <= 1.0
 
 

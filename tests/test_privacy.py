@@ -13,7 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from exitlaw.brownian import BrownianConfig
+from exitlaw.driver import ExactConfig
 from exitlaw.geometry import Ball, BoxDomain
+from exitlaw.wos import WosConfig
 from exitlaw.privacy import (
     CloakScenario,
     predicted_rmse,
@@ -25,10 +28,9 @@ from exitlaw.privacy import (
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 
 
-def disk_scenario(house, trips, sampler="exact", **kw):
+def disk_scenario(house, trips, sampler=ExactConfig()):
     return CloakScenario(house=np.asarray(house, dtype=float),
-                         privacy_region=UNIT_DISK, trips=trips,
-                         sampler=sampler, **kw)
+                         privacy_region=UNIT_DISK, trips=trips, sampler=sampler)
 
 
 def rms_with_se(reports):
@@ -63,7 +65,7 @@ def test_predicted_rmse_hand_values():
 def test_predicted_rmse_none_for_box_regions():
     box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     scn = CloakScenario(house=np.array([0.2, 0.3]), privacy_region=box,
-                        trips=40, sampler="wos")
+                        trips=40, sampler=WosConfig())
     assert predicted_rmse(scn) is None
 
 
@@ -82,8 +84,9 @@ def test_scenario_rejects_house_on_or_outside_boundary():
 def test_scenario_rejects_bad_trips_and_sampler():
     with pytest.raises(ValueError, match="trips"):
         disk_scenario([0.3, 0.0], 0)
-    with pytest.raises(ValueError, match="sampler"):
-        disk_scenario([0.3, 0.0], 10, sampler="teleport")
+    for sampler in ("teleport", "exact", None):
+        with pytest.raises(ValueError, match="sampler must be a config of a method in"):
+            disk_scenario([0.3, 0.0], 10, sampler=sampler)
 
 
 def test_run_attacks_rejects_zero_replications():
@@ -217,8 +220,9 @@ def test_sampler_tags_are_statistically_indistinguishable():
     # All three samplers draw the same exit law, so their attack errors
     # must agree with the prediction and with each other.
     stats = {}
-    for sampler, kw in (("exact", {}), ("wos", {}), ("brownian", {"dt": 1e-3})):
-        scn = disk_scenario([0.5, 0.0], 25, sampler=sampler, **kw)
+    for sampler, cfg in (("exact", ExactConfig()), ("wos", WosConfig()),
+                         ("brownian", BrownianConfig(dt=1e-3))):
+        scn = disk_scenario([0.5, 0.0], 25, sampler=cfg)
         reports = run_attacks(scn, seed=4, replications=200)
         rms, se = rms_with_se(reports)
         assert 0.8 < rms / reports[0].predicted_rmse < 1.2, sampler
@@ -229,10 +233,22 @@ def test_sampler_tags_are_statistically_indistinguishable():
         assert abs(ra - rb) <= 4.0 * math.hypot(sa, sb), (a, b, ra, rb)
 
 
+def test_privacy_curve_cells_keep_the_scenario_sampler():
+    # cell g is the scenario at that trip count, sampled by the same
+    # config (not a default one) on stream context g
+    scn = disk_scenario([0.5, 0.0], 10, sampler=WosConfig(step_fraction=0.9))
+    points = privacy_curve(scn, trips_grid=(7, 12), replications=4, seed=3)
+    for g, trips in enumerate((7, 12)):
+        cell = dataclasses.replace(scn, trips=trips)
+        reports = run_attacks(cell, seed=3, replications=4, context=g)
+        rms = math.sqrt(float(np.mean([rep.error ** 2 for rep in reports])))
+        assert points[g].empirical_rmse == rms
+
+
 def test_box_region_reports_error_without_prediction():
     box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     scn = CloakScenario(house=np.array([0.2, 0.3]), privacy_region=box,
-                        trips=50, sampler="wos")
+                        trips=50, sampler=WosConfig())
     rep = run_attack(scn, seed=2)
     assert rep.predicted_rmse is None and rep.ratio is None
     assert math.isfinite(rep.error) and rep.error > 0.0
@@ -244,6 +260,6 @@ def test_box_region_reports_error_without_prediction():
 def test_closed_form_sampler_requires_ball_region():
     box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     scn = CloakScenario(house=np.array([0.2, 0.3]), privacy_region=box,
-                        trips=10, sampler="exact")
+                        trips=10, sampler=ExactConfig())
     with pytest.raises(ValueError):
         run_attack(scn, seed=0)

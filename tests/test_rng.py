@@ -5,7 +5,6 @@ import pytest
 from scipy import stats as sps
 
 from exitlaw import philox, rng
-from exitlaw.rng import RngStream, gaussian_vector, uniform_on_sphere
 
 N_BIG = 100_000
 
@@ -44,56 +43,44 @@ def test_gaussian_batch_matches_scalar():
 
 
 def test_stream_cursors_are_contiguous():
-    s = RngStream(seed=8, stream_id=3)
-    a = s.gaussians(5)
-    b = s.gaussians(4)
+    # consecutive windows of a stream read consecutive values
+    a = rng.gaussian_values(8, 3, 0, 5)
+    b = rng.gaussian_values(8, 3, 5, 4)
     assert np.array_equal(np.concatenate([a, b]), rng.gaussian_values(8, 3, 0, 9))
-    u1 = s.uniforms(3)
-    u2 = s.uniforms(2)
+    u1 = rng.uniform_values(8, 3, 0, 3)
+    u2 = rng.uniform_values(8, 3, 3, 2)
     assert np.array_equal(np.concatenate([u1, u2]), rng.uniform_values(8, 3, 0, 5))
 
 
 def test_streams_are_deterministic():
-    a = RngStream(seed=1, stream_id=2).gaussians(64)
-    b = RngStream(seed=1, stream_id=2).gaussians(64)
+    a = rng.gaussian_values(1, 2, 0, 64)
+    b = rng.gaussian_values(1, 2, 0, 64)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, RngStream(seed=1, stream_id=3).gaussians(64))
-    assert not np.array_equal(a, RngStream(seed=2, stream_id=2).gaussians(64))
+    assert not np.array_equal(a, rng.gaussian_values(1, 3, 0, 64))
+    assert not np.array_equal(a, rng.gaussian_values(2, 2, 0, 64))
 
 
-def test_gaussian_vector_validates_dimension():
-    s = RngStream(seed=0, stream_id=0)
-    with pytest.raises(ValueError):
-        gaussian_vector(s, 0)
+def one_stream_directions(seed, n, d):
+    """n unit-sphere directions read in sequence from stream 0, as (n, d)."""
+    return rng.sphere_rows(seed, np.zeros(1, dtype=np.uint64), 0, d, {}, rounds=n)[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_sphere_point_is_exactly_on_sphere(d):
-    s = RngStream(seed=4, stream_id=1)
     center = np.linspace(-1.0, 1.0, d)
-    for _ in range(50):
-        q = uniform_on_sphere(s, center, 2.5)
-        assert abs(np.linalg.norm(q - center) - 2.5) <= 1e-12 * 2.5
-
-
-def test_sphere_rejects_bad_radius():
-    s = RngStream(seed=0, stream_id=0)
-    with pytest.raises(ValueError):
-        uniform_on_sphere(s, np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        uniform_on_sphere(s, np.zeros(2), float("nan"))
+    q = center + 2.5 * one_stream_directions(4, 50, d)
+    assert np.all(np.abs(np.linalg.norm(q - center, axis=1) - 2.5) <= 1e-12 * 2.5)
 
 
 def test_sphere_d1_is_two_point_uniform():
-    s = RngStream(seed=6, stream_id=0)
-    hits = sum(uniform_on_sphere(s, np.zeros(1), 1.0)[0] > 0 for _ in range(10_000))
+    pts = one_stream_directions(6, 10_000, 1)
+    assert set(np.unique(pts)) == {-1.0, 1.0}
     # Binomial(1e4, 1/2): 4 sigma is 200
-    assert 4800 <= hits <= 5200
+    assert 4800 <= int((pts > 0).sum()) <= 5200
 
 
 def test_sphere_directions_have_isotropic_moments():
-    s = RngStream(seed=2, stream_id=0)
-    pts = rng.unit_vectors(s, 20_000, 3)
+    pts = one_stream_directions(2, 20_000, 3)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # E[x_i] = 0, E[x_i x_j] = delta_ij / d
     assert np.abs(pts.mean(axis=0)).max() < 0.02
@@ -102,27 +89,27 @@ def test_sphere_directions_have_isotropic_moments():
 
 
 def test_sphere_angles_uniform_d2():
-    s = RngStream(seed=9, stream_id=0)
-    pts = rng.unit_vectors(s, 10_000, 2)
+    pts = one_stream_directions(9, 10_000, 2)
     ang = np.arctan2(pts[:, 1], pts[:, 0])
     stat, _ = sps.kstest((ang + np.pi) / (2 * np.pi), "uniform")
     assert stat < 0.02
 
 
-def test_underflow_redraw_uses_retry_substream():
-    # force the guard: a stream whose main gaussians are all zero-norm
-    class Stub:
-        seed, stream_id = 13, 5
-        def __init__(self):
-            self.retry_calls = 0
-        def gaussians(self, n):
-            return np.zeros(n)
-        def retry_gaussians(self, n):
-            self.retry_calls += 1
-            return rng.gaussian_values(13, 5, 0, n, substream=rng.TAG_RETRY)
-    s = Stub()
-    q = uniform_on_sphere(s, np.zeros(3), 1.0)
-    assert s.retry_calls == 1
+def test_underflow_redraw_uses_retry_substream(monkeypatch):
+    # force the guard: stream 5's main Gaussians all have zero norm
+    real, retry_calls = rng.gaussian_values, []
+
+    def fake(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
+        if substream == rng.TAG_RETRY:
+            retry_calls.append((int(stream_ids), start, count))
+            return real(seed, stream_ids, start, count, substream)
+        return np.zeros((np.size(stream_ids), count))
+
+    monkeypatch.setattr(rng, "gaussian_values", fake)
+    q = rng.sphere_rows(13, np.array([5], dtype=np.uint64), 0, 3)[0]
+    assert retry_calls == [(5, 0, 3)]
+    expect = real(13, 5, 0, 3, substream=rng.TAG_RETRY)
+    assert np.array_equal(q, expect / np.linalg.norm(expect))
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
 
 
@@ -142,17 +129,17 @@ def test_unit_rows_redraws_degenerate_rows():
 
 
 def test_sphere_rows_matches_sequential_streams():
-    # Same Gaussian words, so agreement to 1 ulp; exact equality is not
-    # contracted here (the two paths round the final division differently).
-    # The sampler kernels are batch-only, so their bit-exactness never
-    # rests on this.
+    # Reference: one stream at a time, its d Gaussians normalized by a
+    # vector dot product. Same Gaussian words, so agreement to 1 ulp;
+    # exact equality is not contracted here (the two paths round the
+    # final division differently). The sampler kernels are batch-only, so
+    # their bit-exactness never rests on this.
     ids = np.arange(6, dtype=np.uint64)
     batch = rng.sphere_rows(31, ids, 0, 4)
     for i in range(6):
-        s = RngStream(seed=31, stream_id=i)
-        q = uniform_on_sphere(s, np.zeros(4), 1.0)
+        g = rng.gaussian_values(31, i, 0, 4)
+        q = g / np.sqrt(g @ g)
         np.testing.assert_allclose(batch[i], q, rtol=3e-16, atol=0)
-        assert s._gcur == 4  # identical word consumption
 
 
 def test_sphere_rows_batch_width_invariant():

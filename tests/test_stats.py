@@ -1,9 +1,9 @@
-"""Tests for summaries, mergeable moments, and the comparison table."""
+"""Tests for summaries, one-pass moments, and the comparison table."""
 
 import numpy as np
 import pytest
 
-from exitlaw import Ball, BoxDomain
+from exitlaw import Ball, BoxDomain, BrownianConfig, ExactConfig, WosConfig
 from exitlaw.ball import sample_exact_batch
 from exitlaw.exits import ExitBatch
 from exitlaw.stats import (TABLE1_SETTINGS, ComparisonRow, RunningMoments,
@@ -40,10 +40,8 @@ def test_summarize_input_forms():
                                0, np.arange(50, dtype=np.uint64))
     from_batch = summarize(batch)
     from_array = summarize(batch.points)
-    from_list = summarize(list(batch))
     assert np.array_equal(from_batch.mean, from_array.mean)
-    assert np.array_equal(from_batch.mean, from_list.mean)
-    assert from_batch.trace == from_array.trace == from_list.trace
+    assert from_batch.trace == from_array.trace
 
 
 def test_summarize_rejects_bad_input():
@@ -51,58 +49,6 @@ def test_summarize_rejects_bad_input():
         summarize(np.empty((0, 2)))
     with pytest.raises(ValueError):
         summarize([])
-
-
-def test_merge_mean_is_the_weighted_formula_exactly():
-    rs = np.random.default_rng(3)
-    a, b = rs.normal(size=(11, 2)), rs.normal(size=(7, 2))
-    ma, mb = RunningMoments.from_points(a), RunningMoments.from_points(b)
-    merged = ma.merge(mb)
-    assert np.array_equal(merged.mean, (11 * ma.mean + 7 * mb.mean) / 18)
-
-
-def test_merge_matches_whole_batch():
-    rs = np.random.default_rng(4)
-    pts = rs.normal(size=(500, 3)) * 2.0 + 1.0
-    whole = RunningMoments.from_points(pts).summary()
-    merged = (RunningMoments.from_points(pts[:123])
-              .merge(RunningMoments.from_points(pts[123:310]))
-              .merge(RunningMoments.from_points(pts[310:]))).summary()
-    assert abs(merged.trace - whole.trace) <= 1e-12 * max(1.0, whole.trace)
-    assert np.allclose(merged.mean, whole.mean, atol=1e-14)
-    assert merged.trace_se == pytest.approx(whole.trace_se, rel=1e-9)
-
-
-def test_merge_is_order_insensitive():
-    rs = np.random.default_rng(5)
-    parts = [RunningMoments.from_points(rs.normal(size=(k, 2)))
-             for k in (17, 5, 40, 9)]
-    a = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3]).summary()
-    b = parts[3].merge(parts[2]).merge(parts[1]).merge(parts[0]).summary()
-    c = parts[1].merge(parts[3]).merge(parts[0]).merge(parts[2]).summary()
-    for other in (b, c):
-        assert np.allclose(a.mean, other.mean, atol=1e-15)
-        assert a.trace == pytest.approx(other.trace, rel=1e-12)
-        assert a.trace_se == pytest.approx(other.trace_se, rel=1e-9)
-
-
-def test_merge_exact_on_integer_lattice():
-    # integer data keeps every accumulator exact, so merge == whole bitwise
-    rs = np.random.default_rng(6)
-    pts = rs.integers(-8, 9, size=(64, 2)).astype(np.float64)
-    whole = RunningMoments.from_points(pts)
-    merged = RunningMoments.from_points(pts[:32]).merge(RunningMoments.from_points(pts[32:]))
-    assert merged.n == whole.n
-    assert np.array_equal(merged.mean, whole.mean)
-    assert np.array_equal(merged.cov_m2, whole.cov_m2)
-    assert merged.q_mean == whole.q_mean
-
-
-def test_merge_dimension_mismatch():
-    a = RunningMoments.from_points(np.zeros((3, 2)))
-    b = RunningMoments.from_points(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 def test_single_point_summary_is_degenerate_not_crashing():
@@ -120,7 +66,7 @@ def test_compare_perfect_agreement_passes():
     b = Ball(np.zeros(2), 1.0)
     sm = SummaryStats(n=100, mean=np.array([0.5, 0.0]), trace=0.75,
                       mean_se=np.array([0.01, 0.01]), trace_se=0.01)
-    row = compare(sm, b, (0.5, 0.0), method="exact")
+    row = compare(sm, b, (0.5, 0.0), sampler=ExactConfig())
     assert row.passed
     assert row.z_mean == (0.0, 0.0)
     assert row.z_trace == 0.0
@@ -154,34 +100,55 @@ def test_compare_dimension_mismatch():
         compare(sm, Ball(np.zeros(2), 1.0), (0.0, 0.0))
 
 
+def test_compare_cells_come_from_the_sampler_config():
+    b = Ball(np.zeros(2), 3.0)
+    sm = SummaryStats(n=100, mean=np.array([0.5, 0.0]), trace=8.75,
+                      mean_se=np.array([0.01, 0.01]), trace_se=0.01)
+    cells = [(row.method, row.dt, row.epsilon) for row in (
+        compare(sm, b, (0.5, 0.0), sampler=BrownianConfig(dt=1e-3)),
+        compare(sm, b, (0.5, 0.0), sampler=WosConfig()),
+        compare(sm, b, (0.5, 0.0), sampler=WosConfig(epsilon=1e-4)),
+        compare(sm, b, (0.5, 0.0), sampler=ExactConfig()),
+        compare(sm, b, (0.5, 0.0)))]
+    # the wos default shell resolves to 1e-6 of the diameter
+    assert cells == [("brownian", 1e-3, None), ("wos", None, 6e-6), ("wos", None, 1e-4),
+                     ("exact", None, None), ("", None, None)]
+
+
+@pytest.mark.parametrize("sampler", ["exact", None, ExactConfig])
+def test_table_config_rejects_unknown_sampler(sampler):
+    with pytest.raises(ValueError, match="sampler must be a config of a method in"):
+        TableConfig(sampler=sampler)
+
+
 def test_table_settings_and_theory_column():
     assert TABLE1_SETTINGS == ((2, 0.2), (2, 0.5), (2, 0.8),
                                (3, 0.2), (3, 0.5), (3, 0.8),
                                (4, 0.2), (4, 0.5), (4, 0.8))
-    rows = reproduce_table1(TableConfig(method="exact", n=64), seed=0)
+    rows = reproduce_table1(TableConfig(sampler=ExactConfig(), n=64), seed=0)
     theory = [row.trace_theory for row in rows]
     assert theory == pytest.approx([0.96, 0.75, 0.36] * 3, abs=1e-15)
     assert [row.d for row in rows] == [2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 
 def test_table_passes_on_all_methods():
-    for method in ("exact", "wos"):
-        rows = reproduce_table1(TableConfig(method=method, n=400), seed=0)
-        assert all(row.passed for row in rows), method
-    rows = reproduce_table1(TableConfig(method="brownian", n=200, dt=1e-3), seed=0)
+    for sampler in (ExactConfig(), WosConfig()):
+        rows = reproduce_table1(TableConfig(sampler=sampler, n=400), seed=0)
+        assert all(row.passed for row in rows), sampler
+    rows = reproduce_table1(TableConfig(sampler=BrownianConfig(dt=1e-3), n=200), seed=0)
     assert all(row.passed for row in rows)
 
 
 def test_table_n1_is_degenerate_not_crashing():
-    rows = reproduce_table1(TableConfig(method="exact", n=1), seed=0)
+    rows = reproduce_table1(TableConfig(sampler=ExactConfig(), n=1), seed=0)
     assert len(rows) == 9
     assert all(not row.passed for row in rows)
     assert all(row.note == "degenerate standard errors" for row in rows)
 
 
 def test_table_workers_do_not_change_rows():
-    a = reproduce_table1(TableConfig(method="exact", n=300), seed=2)
-    b = reproduce_table1(TableConfig(method="exact", n=300, workers=4), seed=2)
+    a = reproduce_table1(TableConfig(sampler=ExactConfig(), n=300), seed=2)
+    b = reproduce_table1(TableConfig(sampler=ExactConfig(), n=300, workers=4), seed=2)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.summary.mean, rb.summary.mean)
         assert ra.summary.trace == rb.summary.trace
@@ -197,7 +164,7 @@ def test_pass_rate_calibration_over_100_seeds():
     # drift halves the estimated trace SE and pushes z_trace to 5.5.  The
     # SE formula itself is exercised separately above.
     passes = sum(
-        all(row.passed for row in reproduce_table1(TableConfig(method="exact", n=500), seed=s))
+        all(row.passed for row in reproduce_table1(TableConfig(sampler=ExactConfig(), n=500), seed=s))
         for s in range(100)
     )
     assert passes >= 99

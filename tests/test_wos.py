@@ -7,7 +7,7 @@ from scipy import stats as sps
 from exitlaw import Ball, BoxDomain, WosConfig, MaxHopsExceeded
 from exitlaw.ball import sample_exact_batch
 from exitlaw.geometry import Domain
-from exitlaw.wos import hop_count_profile, wos_exit_batch
+from exitlaw.wos import wos_exit_batch
 from exitlaw import rng, stats
 
 BALL2 = Ball(np.zeros(2), 1.0)
@@ -37,15 +37,6 @@ class RecordingBall(Domain):
         return getattr(self.ball, name)
 
     # abstract-method stubs; all real calls go through __getattr__
-    def contains(self, p):
-        return self.ball.contains(p)
-
-    def distance_to_boundary(self, p):
-        return self.ball.distance_to_boundary(p)
-
-    def project_to_boundary(self, p):
-        return self.ball.project_to_boundary(p)
-
     def diameter(self):
         return self.ball.diameter()
 
@@ -149,7 +140,7 @@ def test_step_fraction_one_same_law_fewer_hops():
 
 def test_epsilon_grid_hop_growth_is_additive():
     # mean hops grow ~linearly in log(1/eps); calibrated increments 66.9, 67.2
-    means = [hop_count_profile(BALL2, THETA2, WosConfig(epsilon=e), 2000, 11).mean
+    means = [wos_exit_batch(BALL2, THETA2, WosConfig(epsilon=e), 11, ids(2000)).steps.mean()
              for e in (1e-4, 1e-6, 1e-8)]
     assert means[0] < means[1] < means[2]
     inc1, inc2 = means[1] - means[0], means[2] - means[1]
@@ -157,10 +148,10 @@ def test_epsilon_grid_hop_growth_is_additive():
 
 
 def test_hop_profile_fields():
-    p = hop_count_profile(BALL2, THETA2, WosConfig(), 500, 4)
-    assert p.n == 500
-    assert 1 <= p.mean <= p.p95 <= p.max
-    assert p.max < 1_000_000   # termination invariant: nowhere near the cap
+    hops = wos_exit_batch(BALL2, THETA2, WosConfig(), 4, ids(500)).steps
+    assert hops.shape == (500,)
+    assert 1 <= hops.mean() <= np.percentile(hops, 95) <= hops.max()
+    assert hops.max() < 1_000_000   # termination invariant: nowhere near the cap
 
 
 def test_max_hops_error():
