@@ -27,7 +27,7 @@ from .ball import (
 )
 from .driver import ExactConfig
 from .stats import ComparisonRow, SummaryStats, TableConfig, compare, reproduce_table1, summarize
-from .privacy import CloakScenario, PrivacyReport, privacy_curve, run_attack, run_attacks
+from .privacy import CloakScenario, PrivacyReport, privacy_curve, run_attacks
 
 __all__ = [
     "__version__",
@@ -41,5 +41,5 @@ __all__ = [
     "ExactConfig",
     "ComparisonRow", "SummaryStats", "TableConfig", "compare", "reproduce_table1",
     "summarize",
-    "CloakScenario", "PrivacyReport", "privacy_curve", "run_attack", "run_attacks",
+    "CloakScenario", "PrivacyReport", "privacy_curve", "run_attacks",
 ]

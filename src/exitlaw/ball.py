@@ -132,6 +132,8 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
     if not ball.contains(x):
         raise ValueError(f"kernel normalization needs an interior point, got {x}")
     d, r, c = ball.dimension, ball.radius, ball.center
+    if d >= 2 and resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     if d == 1:
         ys = np.array([[c[0] - r], [c[0] + r]])
         return float(_kernel_values(ball, x, ys).sum())
@@ -225,8 +227,7 @@ def _check_exact_start(ball: Ball, theta) -> np.ndarray:
     return theta
 
 
-def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
-                       gauss_start: int = 0, uniform_start: int = 0) -> ExitBatch:
+def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids) -> ExitBatch:
     """Exact exit samples by Moebius-proposal rejection, one stream per row.
 
     Proposal t of a stream maps the uniform direction u read from its
@@ -267,11 +268,11 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
         # for the Gaussian and uniform words; a row keeps its first accept.
         live = alive.size
         k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
-        v = rng.sphere_rows(seed, ids[alive], gauss_start + t * d, d, retry_state,
+        v = rng.sphere_rows(seed, ids[alive], t * d, d, retry_state,
                             rounds=k).reshape(-1, d) + a
         s2 = np.einsum("ij,ij->i", v, v)
         accept_p = (np.sqrt(s2) / peak) ** (2 - d)
-        u = rng.uniform_values(seed, ids[alive], uniform_start + t, k)
+        u = rng.uniform_values(seed, ids[alive], t, k)
         acc = (u.reshape(-1) < accept_p).reshape(live, k)
         hit = acc.any(axis=1)
         if hit.any():
@@ -286,7 +287,7 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids,
             alive = alive[~hit]
         t += k
 
-    return ExitBatch(points, steps, "exact")
+    return ExitBatch(points, steps)
 
 
 def second_moment_identity_check(samples, theta) -> float:

@@ -97,8 +97,11 @@ class MaxStepsExceeded(RuntimeError):
 
 
 def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
-                        stream_ids, gauss_start: int = 0) -> ExitBatch:
-    """Exit samples for one stream per row of ``stream_ids``, all started at theta."""
+                        stream_ids) -> ExitBatch:
+    """Exit samples for one stream per row of ``stream_ids``, all started at theta.
+
+    Step k of a stream reads Gaussian words [k*d, (k+1)*d) of it.
+    """
     theta = as_point(theta, domain.dimension)
     if not domain.contains(theta):
         raise ValueError(f"start point {theta} is not strictly inside the domain")
@@ -114,7 +117,7 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     X = np.tile(theta, (m, 1))
     alive = np.arange(m)
     done_steps = 0
-    g_next = gauss_start
+    g_next = 0
 
     while alive.size:
         if done_steps >= max_steps:
@@ -154,4 +157,4 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
         done_steps += width
         g_next += width * d
 
-    return ExitBatch(points, steps, "brownian", times)
+    return ExitBatch(points, steps, times)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__, ball, driver, privacy, stats
+from . import __version__, ball, brownian, driver, privacy, stats
 from .geometry import Ball
 
 _DEFAULT_MAX_DIM = 4  # the CSV schema carries four coordinate columns
@@ -109,14 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, help="parallel workers (never changes results)")
         p.add_argument("--config", help="JSON file preloading any flag; flags override it")
 
+    def sampler_knobs(p):
+        p.add_argument("--method", choices=driver.METHODS, help="sampler (default brownian)")
+        p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
+        p.add_argument("--epsilon", type=_real,
+                       help="wos absorption shell (default 1e-6 x diameter)")
+        p.add_argument("--step-fraction", dest="step_fraction", type=_real,
+                       help="wos hop radius fraction (default 0.5)")
+
     p = sub.add_parser("table1", help="run the nine-setting reproduction table")
     common(p)
-    p.add_argument("--method", choices=driver.METHODS, help="sampler (default brownian)")
+    sampler_knobs(p)
     p.add_argument("--n", dest="n_samples", type=int, help="samples per row (default 500)")
-    p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
-    p.add_argument("--epsilon", type=_real, help="wos absorption shell (default 1e-6 x diameter)")
-    p.add_argument("--step-fraction", dest="step_fraction", type=_real,
-                   help="wos hop radius fraction (default 0.5)")
 
     p = sub.add_parser("sample", help="sample one setting and score it against theory")
     common(p)
@@ -124,14 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=_point, help="ball center (default origin)")
     p.add_argument("--radius", type=_real, help="ball radius (default 1)")
     p.add_argument("--theta", type=_point, help="start point (default: the center)")
-    p.add_argument("--method", choices=driver.METHODS, help="sampler (default brownian)")
+    sampler_knobs(p)
     p.add_argument("--n", dest="n_samples", type=int, help="sample count (default 500)")
-    p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
-    p.add_argument("--exit-rule", dest="exit_rule", choices=["interpolate", "first-outside"],
+    p.add_argument("--exit-rule", dest="exit_rule", choices=brownian.EXIT_RULES,
                    help="brownian exit extraction (default interpolate)")
-    p.add_argument("--epsilon", type=_real, help="wos absorption shell (default 1e-6 x diameter)")
-    p.add_argument("--step-fraction", dest="step_fraction", type=_real,
-                   help="wos hop radius fraction (default 0.5)")
 
     p = sub.add_parser("kernel-check", help="verify the ball kernel integrates to 1")
     common(p)
@@ -151,11 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trips-grid", dest="trips_grid", type=_int_list,
                    help="comma-separated trip counts; overrides --trips with a grid")
     p.add_argument("--replications", type=int, help="attacks per grid cell (default 1)")
-    p.add_argument("--method", choices=driver.METHODS, help="trip sampler (default brownian)")
-    p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
-    p.add_argument("--epsilon", type=_real, help="wos absorption shell")
-    p.add_argument("--step-fraction", dest="step_fraction", type=_real,
-                   help="wos hop radius fraction (default 0.5)")
+    sampler_knobs(p)
 
     return parser
 
@@ -213,12 +209,11 @@ def _validate(cfg: RunConfig, parser: argparse.ArgumentParser) -> None:
     err = parser.error
     if cfg.n_samples < 1:
         err(f"--n must be >= 1, got {cfg.n_samples}")
-    if cfg.dt <= 0:
-        err(f"--dt must be positive, got {cfg.dt}")
-    if not (0 < cfg.step_fraction <= 1):
-        err(f"--step-fraction must be in (0, 1], got {cfg.step_fraction}")
-    if cfg.epsilon is not None and cfg.epsilon <= 0:
-        err(f"--epsilon must be positive, got {cfg.epsilon}")
+    for method in driver.SAMPLERS:  # the metadata line records every knob
+        try:
+            _sampler(cfg, method)
+        except ValueError as exc:
+            err(str(exc))
     if cfg.workers < 1:
         err(f"--workers must be >= 1, got {cfg.workers}")
     if not 0 <= cfg.seed < 1 << 64:
@@ -345,8 +340,9 @@ def _sampling_rows(rows: list[stats.ComparisonRow]) -> list[list]:
 # command execution
 
 
-def _sampler(cfg: RunConfig) -> driver.Sampler:
-    return driver.sampler_config(cfg.method, dt=cfg.dt, exit_rule=cfg.exit_rule,
+def _sampler(cfg: RunConfig, method: str | None = None) -> driver.Sampler:
+    """The config of ``method`` (default: the run's) from the run's knobs."""
+    return driver.sampler_config(method or cfg.method, dt=cfg.dt, exit_rule=cfg.exit_rule,
                                  epsilon=cfg.epsilon, step_fraction=cfg.step_fraction)
 
 

@@ -105,9 +105,5 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
         parts = list(pool.map(kernel, np.array_split(ids, threads)))
     times = (np.concatenate([p.exit_times for p in parts])
              if parts[0].exit_times is not None else None)
-    return ExitBatch(
-        np.concatenate([p.points for p in parts]),
-        np.concatenate([p.steps for p in parts]),
-        parts[0].method,
-        times,
-    )
+    return ExitBatch(np.concatenate([p.points for p in parts]),
+                     np.concatenate([p.steps for p in parts]), times)

@@ -11,24 +11,15 @@ import numpy as np
 class ExitBatch:
     """A batch of exits from one sampler run, one row per sample index.
 
-    ``points`` is (n, d); ``steps`` is (n,), a per-method work count:
+    ``points`` is (n, d); ``steps`` is (n,), the sampler's work count:
     timesteps (brownian), sphere hops (wos) or proposals (exact);
-    ``exit_times`` is (n,) for the brownian method, the only one with a
-    clock, and None otherwise.
+    ``exit_times`` is (n,) from the brownian sampler, the only one with a
+    clock, and None from the others.
     """
 
     points: np.ndarray
     steps: np.ndarray
-    method: str
     exit_times: np.ndarray | None = None
-
-    def __post_init__(self):
-        from .driver import METHODS  # the driver's kernels import this module
-
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if (self.exit_times is not None) != (self.method == "brownian"):
-            raise ValueError("exit_times present iff method is brownian")
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -105,7 +105,7 @@ def philox4x64(x0, x1, x2, x3, k0, k1):
     shape = np.broadcast_shapes(*(np.shape(a) for a in (x0, x1, x2, x3, k1)))
     x0, x1, x2, x3 = (np.array(np.broadcast_to(np.asarray(a, dtype=_U64), shape))
                       for a in (x0, x1, x2, x3))
-    k0 = _U64(int(k0) & _ALL_ONES)
+    k0 = _U64(k0)
     k1 = np.asarray(k1, dtype=_U64) + _U64(0)
     hi0, hi1, t1, t2, t3 = (np.empty(shape, dtype=_U64) for _ in range(5))
     with np.errstate(over="ignore"):
@@ -143,7 +143,12 @@ def raw_words(seed: int, stream_ids, substream: int, start: int, count: int) -> 
     Returns
     -------
     (m, count) uint64 array (or (count,) for a scalar stream_id).
+
+    Raises ValueError for a seed outside [0, 2^64), which would
+    otherwise alias the seed it equals modulo 2^64.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     scalar = np.isscalar(stream_ids)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=_U64))
     m = ids.shape[0]
@@ -168,9 +173,7 @@ def _fill_words(seed, ids, substream, start, count, out):
     nblocks = ((start + count + 3) >> 2) - b0
     ctr = np.empty((ids.shape[0], nblocks), dtype=_U64)
     ctr[:] = _U64(b0) + np.arange(nblocks, dtype=_U64)
-    lanes = philox4x64(
-        ctr, _U64(substream), _U64(0), _U64(0), _U64(int(seed) & _ALL_ONES), ids[:, None]
-    )
+    lanes = philox4x64(ctr, _U64(substream), _U64(0), _U64(0), seed, ids[:, None])
     # Output word w is lane (off + w) & 3 of block (off + w) >> 2.
     off = start - 4 * b0
     for k, lane in enumerate(lanes):
@@ -199,7 +202,7 @@ def _fill_narrow(seed, ids, substream, start, count, out):
     state = bg.state
     state["state"]["counter"] = _counter_predecessor(start >> 2, substream)
     state["buffer_pos"] = 4  # empty buffer: the next word starts a fresh block
-    key = np.array([int(seed) & _ALL_ONES, 0], dtype=_U64)
+    key = np.array([seed, 0], dtype=_U64)
     skip = start & 3
     for i, sid in enumerate(ids.tolist()):
         key[1] = sid

@@ -105,12 +105,6 @@ def run_attacks(scenario: CloakScenario, seed: int, replications: int,
     ]
 
 
-def run_attack(scenario: CloakScenario, seed: int, context: int = 0,
-               workers: int = 1) -> PrivacyReport:
-    """Mount one sample-mean attack on the scenario's trips."""
-    return run_attacks(scenario, seed, 1, context=context, workers=workers)[0]
-
-
 @dataclass(frozen=True)
 class PrivacyCurvePoint:
     """One grid row: measured vs predicted attack RMSE at a trip count."""

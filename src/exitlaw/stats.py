@@ -3,8 +3,9 @@
 The estimators are the plain ones: componentwise mean, covariance trace
 as the sum of unbiased (n-1) per-coordinate variances, standard errors
 for both, with the trace SE by the delta method (the SE of the mean of
-W_j = |Y_j - mean|^2). The moments are taken in one pass over the whole
-sample, which the driver reassembles from its workers in sample order.
+W_j = |Y_j - mean|^2). ``summarize`` takes every moment over the whole
+sample at once, after the driver has reassembled its workers' parts in
+sample order.
 
 Comparison rows score each statistic as a z-value against the
 closed-form mean/trace and flag PASS when every |z| <= 4 — wide enough
@@ -34,63 +35,6 @@ TABLE1_SETTINGS = tuple((d, rho) for d in (2, 3, 4) for rho in (0.2, 0.5, 0.8))
 
 
 @dataclass(frozen=True)
-class RunningMoments:
-    """One-pass moments of a point sample.
-
-    Carries everything needed to reconstruct mean, covariance trace,
-    and their standard errors: the count, the mean vector, the centered
-    second-moment matrix, and the mean / second moment / cross moment of
-    Q = |Y|^2 (which the delta-method trace SE needs).
-    """
-
-    n: int
-    mean: np.ndarray
-    cov_m2: np.ndarray
-    q_mean: float
-    q_m2: float
-    qy_m2: np.ndarray
-
-    @classmethod
-    def from_points(cls, pts: np.ndarray) -> "RunningMoments":
-        pts = np.asarray(pts, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"expected a nonempty (n, d) array, got {pts.shape}")
-        n = pts.shape[0]
-        mean = pts.mean(axis=0)
-        dev = pts - mean
-        q = np.einsum("ij,ij->i", pts, pts)
-        q_mean = float(q.mean())
-        qdev = q - q_mean
-        return cls(
-            n=n,
-            mean=mean,
-            cov_m2=dev.T @ dev,
-            q_mean=q_mean,
-            q_m2=float(qdev @ qdev),
-            qy_m2=qdev @ dev,
-        )
-
-    def summary(self) -> "SummaryStats":
-        n, mu = self.n, self.mean
-        if n < 2:
-            d = mu.shape[0]
-            return SummaryStats(n=n, mean=mu.copy(), trace=np.nan,
-                                mean_se=np.full(d, np.nan), trace_se=np.nan)
-        var = np.diag(self.cov_m2) / (n - 1)
-        # Sample variance of W_j = |Y_j - mean|^2, expanded in the stored moments.
-        w_m2 = self.q_m2 - 4.0 * (self.qy_m2 @ mu) + 4.0 * (mu @ self.cov_m2 @ mu)
-        var_w = max(w_m2, 0.0) / (n - 1)
-        bias = n / (n - 1)
-        return SummaryStats(
-            n=n,
-            mean=mu.copy(),
-            trace=float(var.sum()),
-            mean_se=np.sqrt(var / n),
-            trace_se=float(bias * np.sqrt(var_w / n)),
-        )
-
-
-@dataclass(frozen=True)
 class SummaryStats:
     """Empirical mean and covariance trace of an exit sample, with SEs."""
 
@@ -99,12 +43,37 @@ class SummaryStats:
     trace: float
     mean_se: np.ndarray
     trace_se: float
-    trace_se_method: str = "delta"
 
 
 def summarize(samples) -> SummaryStats:
     """Mean, covariance trace, and standard errors of the exit points."""
-    return RunningMoments.from_points(points_of(samples)).summary()
+    pts = points_of(samples)
+    n, d = pts.shape
+    if n < 1:
+        raise ValueError(f"expected a nonempty (n, d) array, got {pts.shape}")
+    mu = pts.mean(axis=0)
+    if n < 2:
+        return SummaryStats(n=n, mean=mu, trace=np.nan,
+                            mean_se=np.full(d, np.nan), trace_se=np.nan)
+    dev = pts - mu
+    cov_m2 = dev.T @ dev
+    # Moments of Q = |Y|^2 for the delta-method trace SE.
+    q = np.einsum("ij,ij->i", pts, pts)
+    qdev = q - float(q.mean())
+    q_m2 = float(qdev @ qdev)
+    qy_m2 = qdev @ dev
+    var = np.diag(cov_m2) / (n - 1)
+    # Sample variance of W_j = |Y_j - mean|^2, expanded in the moments above.
+    w_m2 = q_m2 - 4.0 * (qy_m2 @ mu) + 4.0 * (mu @ cov_m2 @ mu)
+    var_w = max(w_m2, 0.0) / (n - 1)
+    bias = n / (n - 1)
+    return SummaryStats(
+        n=n,
+        mean=mu,
+        trace=float(var.sum()),
+        mean_se=np.sqrt(var / n),
+        trace_se=float(bias * np.sqrt(var_w / n)),
+    )
 
 
 @dataclass(frozen=True)

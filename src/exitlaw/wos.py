@@ -61,8 +61,12 @@ class MaxHopsExceeded(RuntimeError):
 
 
 def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
-                   stream_ids, gauss_start: int = 0) -> ExitBatch:
-    """Walk-on-spheres exits for one stream per row of ``stream_ids``."""
+                   stream_ids) -> ExitBatch:
+    """Walk-on-spheres exits for one stream per row of ``stream_ids``.
+
+    Hop h of a stream reads its direction from Gaussian words
+    [h*d, (h+1)*d) of it.
+    """
     theta = as_point(theta, domain.dimension)
     if not domain.contains(theta):
         raise ValueError(f"start point {theta} is not strictly inside the domain")
@@ -96,12 +100,11 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
             raise MaxHopsExceeded(hop, ids[alive], Y[alive])
         if hop == first + dirs.shape[1]:
             k = min(rng.lookahead_rounds(alive.size, d, hop), cfg.max_hops - hop)
-            dirs = rng.sphere_rows(seed, ids[alive], gauss_start + hop * d, d,
-                                   retry_state, rounds=k)
+            dirs = rng.sphere_rows(seed, ids[alive], hop * d, d, retry_state, rounds=k)
             rows, first = np.arange(alive.size), hop
         Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs[rows, hop - first]
         hops[alive] += 1
         hop += 1
 
-    return ExitBatch(points, hops, "wos")
+    return ExitBatch(points, hops)
 

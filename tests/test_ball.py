@@ -91,6 +91,24 @@ def test_normalization_rejects_outside_point():
         kernel_normalization(unit_ball(2), np.array([1.0, 0.0]), 100)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_normalization_rejects_resolution_below_1(d, resolution):
+    with pytest.raises(ValueError, match=f"resolution must be >= 1, got {resolution}"):
+        kernel_normalization(unit_ball(d), np.zeros(d), resolution)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_normalization_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        kernel_normalization(unit_ball(3), np.zeros(3), 16, seed=seed)
+
+
+def test_normalization_runs_at_the_largest_seed():
+    assert abs(kernel_normalization(unit_ball(3), np.zeros(3), 16, seed=2 ** 64 - 1)
+               - 1.0) <= 1e-12
+
+
 def test_theoretical_mean_and_trace():
     b = Ball(np.array([1.0, -2.0]), 2.0)
     th = np.array([1.5, -2.0])

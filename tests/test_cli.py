@@ -7,17 +7,20 @@ the statistical behavior of each command's engine is tested in the
 module-specific files.
 """
 
+import argparse
+import dataclasses
 import json
 import re
 
 import pytest
 
-from exitlaw import ball, brownian, cli
+from exitlaw import ball, brownian, cli, driver
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
     SAMPLING_HEADER,
     RunConfig,
+    build_parser,
     main,
     parse_args,
 )
@@ -88,9 +91,9 @@ def test_missing_command_exits_2():
 
 @pytest.mark.parametrize("argv, fragment", [
     ("table1 --n 0", "--n"),
-    ("table1 --dt 0", "--dt"),
-    ("table1 --step-fraction 1.5", "--step-fraction"),
-    ("table1 --epsilon -1", "--epsilon"),
+    ("table1 --dt 0", "dt must be positive"),
+    ("table1 --step-fraction 1.5", "step_fraction must be in"),
+    ("table1 --epsilon -1", "epsilon must be positive"),
     ("table1 --workers 0", "--workers"),
     ("sample --dim 0", "--dim"),
     ("sample --dim 5", "CSV schema"),
@@ -227,7 +230,55 @@ def test_config_values_still_validated(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["table1", "--config", str(path)])
     assert exc.value.code == 2
-    assert "--dt" in capsys.readouterr().err
+    assert "dt must be positive" in capsys.readouterr().err
+
+
+def test_knobs_of_other_samplers_still_checked(capsys):
+    # the metadata line records dt whatever the method, so it must be valid
+    with pytest.raises(SystemExit) as exc:
+        parse_args("table1 --method exact --dt 0".split())
+    assert exc.value.code == 2
+    assert "dt must be positive" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# sampler flags against the registry
+# ---------------------------------------------------------------------------
+
+SAMPLER_FLAGS = ("--dt", "--epsilon", "--step-fraction", "--exit-rule")
+
+
+def subcommand_actions(name):
+    """Option string -> argparse action of one subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt: a for a in sub.choices[name]._actions for opt in a.option_strings}
+
+
+@pytest.mark.parametrize("command", ["table1", "sample", "privacy"])
+def test_sampler_flags_match_the_registry(command):
+    actions = subcommand_actions(command)
+    assert tuple(actions["--method"].choices) == driver.METHODS
+    assert {"--dt", "--epsilon", "--step-fraction"} <= actions.keys()
+    knob_fields = {f.name for cls in driver.SAMPLERS.values() for f in dataclasses.fields(cls)}
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for flag in SAMPLER_FLAGS:
+        if flag in actions:
+            assert actions[flag].dest in knob_fields & run_fields
+
+
+def test_exit_rule_reaches_the_brownian_config(monkeypatch, tmp_path):
+    seen = []
+    real = driver.sample_exits
+
+    def recording(domain, theta, sampler, *args, **kwargs):
+        seen.append(sampler)
+        return real(domain, theta, sampler, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "sample_exits", recording)
+    main(["sample", "--exit-rule", "first-outside", "--dt", "1e-3", "--n", "4",
+          "--out", str(tmp_path / "s.csv")])
+    assert seen == [brownian.BrownianConfig(dt=1e-3, exit_rule="first-outside")]
 
 
 # ---------------------------------------------------------------------------

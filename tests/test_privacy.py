@@ -21,7 +21,6 @@ from exitlaw.privacy import (
     CloakScenario,
     predicted_rmse,
     privacy_curve,
-    run_attack,
     run_attacks,
 )
 
@@ -104,7 +103,7 @@ def test_scenario_is_frozen_with_readonly_house():
 
 def test_report_fields_are_consistent():
     scn = disk_scenario([0.5, 0.0], 64)
-    rep = run_attack(scn, seed=3)
+    rep, = run_attacks(scn, seed=3, replications=1)
     assert rep.estimate.shape == (2,)
     assert rep.error == pytest.approx(
         float(np.linalg.norm(rep.estimate - scn.house)), rel=1e-12)
@@ -127,14 +126,6 @@ def test_first_replication_stable_as_count_grows():
     assert np.array_equal(a[1].estimate, b[1].estimate)
 
 
-def test_run_attack_is_the_first_replication():
-    scn = disk_scenario([0.4, 0.1], 17)
-    one = run_attack(scn, seed=9)
-    many = run_attacks(scn, seed=9, replications=3)
-    assert np.array_equal(one.estimate, many[0].estimate)
-    assert one.error == many[0].error
-
-
 def test_workers_do_not_change_reports():
     scn = disk_scenario([0.2, -0.3], 23)
     a = run_attacks(scn, seed=1, replications=8, workers=1)
@@ -146,10 +137,12 @@ def test_workers_do_not_change_reports():
 
 def test_seed_and_context_move_the_draws():
     scn = disk_scenario([0.2, -0.3], 23)
-    base = run_attack(scn, seed=1)
-    assert not np.array_equal(base.estimate, run_attack(scn, seed=2).estimate)
-    assert not np.array_equal(base.estimate, run_attack(scn, seed=1, context=1).estimate)
-    again = run_attack(scn, seed=1)
+    base, = run_attacks(scn, seed=1, replications=1)
+    other_seed, = run_attacks(scn, seed=2, replications=1)
+    other_context, = run_attacks(scn, seed=1, replications=1, context=1)
+    assert not np.array_equal(base.estimate, other_seed.estimate)
+    assert not np.array_equal(base.estimate, other_context.estimate)
+    again, = run_attacks(scn, seed=1, replications=1)
     assert np.array_equal(base.estimate, again.estimate)
 
 
@@ -249,7 +242,7 @@ def test_box_region_reports_error_without_prediction():
     box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     scn = CloakScenario(house=np.array([0.2, 0.3]), privacy_region=box,
                         trips=50, sampler=WosConfig())
-    rep = run_attack(scn, seed=2)
+    rep, = run_attacks(scn, seed=2, replications=1)
     assert rep.predicted_rmse is None and rep.ratio is None
     assert math.isfinite(rep.error) and rep.error > 0.0
     points = privacy_curve(scn, trips_grid=(10, 40), replications=30, seed=2)
@@ -262,4 +255,4 @@ def test_closed_form_sampler_requires_ball_region():
     scn = CloakScenario(house=np.array([0.2, 0.3]), privacy_region=box,
                         trips=10, sampler=ExactConfig())
     with pytest.raises(ValueError):
-        run_attack(scn, seed=0)
+        run_attacks(scn, seed=0, replications=1)

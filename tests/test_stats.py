@@ -1,4 +1,4 @@
-"""Tests for summaries, one-pass moments, and the comparison table."""
+"""Tests for summaries and the comparison table."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from exitlaw import Ball, BoxDomain, BrownianConfig, ExactConfig, WosConfig
 from exitlaw.ball import sample_exact_batch
 from exitlaw.exits import ExitBatch
-from exitlaw.stats import (TABLE1_SETTINGS, ComparisonRow, RunningMoments,
-                           SummaryStats, TableConfig, compare,
-                           reproduce_table1, summarize)
+from exitlaw.stats import (TABLE1_SETTINGS, ComparisonRow, SummaryStats,
+                           TableConfig, compare, reproduce_table1, summarize)
 
 
 def test_two_point_hand_example():
@@ -32,7 +31,6 @@ def test_trace_se_matches_direct_delta_formula():
     w = np.einsum("ij,ij->i", pts - pts.mean(axis=0), pts - pts.mean(axis=0))
     direct = (1000 / 999) * w.std(ddof=1) / np.sqrt(1000)
     assert sm.trace_se == pytest.approx(direct, rel=1e-10)
-    assert sm.trace_se_method == "delta"
 
 
 def test_summarize_input_forms():
@@ -77,7 +75,7 @@ def test_compare_corrupted_mean_fails():
     b = Ball(np.zeros(2), 1.0)
     batch = sample_exact_batch(b, np.array([0.5, 0.0]), 1,
                                np.arange(10_000, dtype=np.uint64))
-    shifted = ExitBatch(batch.points + np.array([1.0, 0.0]), batch.steps, "exact")
+    shifted = ExitBatch(batch.points + np.array([1.0, 0.0]), batch.steps)
     # theta=(0.5,0) is ~115 SEs away from the shifted cloud's mean
     row = compare(summarize(shifted), b, (0.5, 0.0))
     assert not row.passed
