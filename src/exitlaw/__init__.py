@@ -7,7 +7,7 @@ formulas to verify them against, and a location-privacy application
 built on the same machinery.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .geometry import Ball, BoxDomain, Domain
 from .exits import ExitBatch

@@ -71,11 +71,6 @@ def gamma_half(d: int) -> float:
     return val
 
 
-def sphere_surface_area(d: int, radius: float) -> float:
-    """Surface area of the (d-1)-sphere of the given radius in R^d."""
-    return 2.0 * math.pi ** (d / 2) / gamma_half(d) * radius ** (d - 1)
-
-
 @dataclass(frozen=True)
 class KernelQuery:
     """A validated (ball, interior point, boundary point) kernel argument."""
@@ -124,16 +119,22 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
       ``resolution`` is ignored.
     * d = 2: trapezoid rule on ``resolution`` equal angles — the
       integrand is smooth and periodic, so convergence is spectral.
-    * d >= 3: Monte Carlo over ``resolution`` uniform sphere draws
-      (surface area times the mean kernel value), draw i from Gaussian
-      words [i*d, (i+1)*d) of stream 0 under ``seed``.
+    * d >= 3: Monte Carlo over ``resolution`` uniform sphere draws, draw
+      i from Gaussian words [i*d, (i+1)*d) of stream 0 under ``seed``.
+      Surface area times kernel is (1 - rho/r)(1 + rho/r) (r/|x-y|)^d,
+      with no Gamma or pi power to overflow at large d.
+
+    Raises ValueError for a resolution below 1 or a seed outside
+    [0, 2^64) at any d, and for a mass beyond float64.
     """
     x = as_point(x, ball.dimension)
     if not ball.contains(x):
         raise ValueError(f"kernel normalization needs an interior point, got {x}")
-    d, r, c = ball.dimension, ball.radius, ball.center
-    if d >= 2 and resolution < 1:
+    if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    d, r, c = ball.dimension, ball.radius, ball.center
     if d == 1:
         ys = np.array([[c[0] - r], [c[0] + r]])
         return float(_kernel_values(ball, x, ys).sum())
@@ -141,17 +142,21 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
         ang = 2.0 * math.pi * np.arange(resolution) / resolution
         ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return float(_kernel_values(ball, x, ys).sum() * (2.0 * math.pi * r / resolution))
-    area = sphere_surface_area(d, r)
+    rho = float(np.linalg.norm(x - c))
     stream = np.zeros(1, dtype=np.uint64)
-    retry_state: dict = {}
     total = 0.0
     done = 0
     while done < resolution:
-        step = min(resolution - done, 1 << 19)
-        ys = c + r * rng.sphere_rows(seed, stream, done * d, d, retry_state, rounds=step)[0]
-        total += float(_kernel_values(ball, x, ys).sum())
+        # at most 2^19 draws and 2^21 Gaussian values (16 MB) per request
+        step = min(resolution - done, 1 << 19, max(1, (1 << 21) // d))
+        diff = c + r * rng.sphere_rows(seed, stream, done * d, d, rounds=step)[0] - x
+        with np.errstate(over="ignore"):
+            total += float(np.sum((r / np.sqrt(np.einsum("ij,ij->i", diff, diff))) ** d))
         done += step
-    return area * total / resolution
+    mass = (r - rho) / r * ((r + rho) / r) * total / resolution
+    if not math.isfinite(mass):
+        raise ValueError(f"kernel normalization overflows float64 in d={d}")
+    return mass
 
 
 def theoretical_mean(domain: Domain, theta) -> np.ndarray:
@@ -259,7 +264,6 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids) -> ExitBatch:
     points = np.empty((m, d))
     steps = np.empty(m, dtype=np.int64)
     alive = np.arange(m)
-    retry_state: dict = {}
     t = 0
     while alive.size:
         if t >= MAX_PROPOSALS:
@@ -268,8 +272,7 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids) -> ExitBatch:
         # for the Gaussian and uniform words; a row keeps its first accept.
         live = alive.size
         k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
-        v = rng.sphere_rows(seed, ids[alive], t * d, d, retry_state,
-                            rounds=k).reshape(-1, d) + a
+        v = rng.sphere_rows(seed, ids[alive], t * d, d, rounds=k).reshape(-1, d) + a
         s2 = np.einsum("ij,ij->i", v, v)
         accept_p = (np.sqrt(s2) / peak) ** (2 - d)
         u = rng.uniform_values(seed, ids[alive], t, k)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__, ball, brownian, driver, privacy, stats
+from . import __version__, ball, brownian, driver, privacy, stats, wos
 from .geometry import Ball
 
 _DEFAULT_MAX_DIM = 4  # the CSV schema carries four coordinate columns
@@ -52,10 +52,10 @@ class RunConfig:
     workers: int = 1
     method: str = "brownian"
     n_samples: int = 500
-    dt: float = 1e-4
-    epsilon: float | None = None
-    step_fraction: float = 0.5
-    exit_rule: str = "interpolate"
+    dt: float = brownian.BrownianConfig.dt
+    epsilon: float | None = wos.WosConfig.epsilon
+    step_fraction: float = wos.WosConfig.step_fraction
+    exit_rule: str = brownian.BrownianConfig.exit_rule
     dim: int = 2
     center: tuple | None = None
     radius: float = 1.0
@@ -111,11 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sampler_knobs(p):
         p.add_argument("--method", choices=driver.METHODS, help="sampler (default brownian)")
-        p.add_argument("--dt", type=_real, help="brownian timestep (default 1e-4)")
+        p.add_argument("--dt", type=_real,
+                       help=f"brownian timestep (default {RunConfig.dt:g})")
         p.add_argument("--epsilon", type=_real,
                        help="wos absorption shell (default 1e-6 x diameter)")
         p.add_argument("--step-fraction", dest="step_fraction", type=_real,
-                       help="wos hop radius fraction (default 0.5)")
+                       help=f"wos hop radius fraction (default {RunConfig.step_fraction:g})")
 
     p = sub.add_parser("table1", help="run the nine-setting reproduction table")
     common(p)
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampler_knobs(p)
     p.add_argument("--n", dest="n_samples", type=int, help="sample count (default 500)")
     p.add_argument("--exit-rule", dest="exit_rule", choices=brownian.EXIT_RULES,
-                   help="brownian exit extraction (default interpolate)")
+                   help=f"brownian exit extraction (default {RunConfig.exit_rule})")
 
     p = sub.add_parser("kernel-check", help="verify the ball kernel integrates to 1")
     common(p)

@@ -7,7 +7,8 @@ substreams keep different kinds of draws from colliding:
 ===========  ====================================================
 tag 0        plain uniforms on [0, 1)
 tag 1        the uniform pairs feeding Gaussian deviates
-tag 2        retry pool for the sphere-draw underflow guard
+tag 2 + a    redraw attempt a of a sphere direction whose norm
+             fell below NORM_FLOOR (see ``sphere_rows``)
 ===========  ====================================================
 
 Gaussian scheme (fixed; frozen by known-answer tests)
@@ -38,6 +39,12 @@ TAG_RETRY = 2
 
 #: Sphere draws redraw the Gaussian vector when its norm falls below this.
 NORM_FLOOR = 1e-150
+
+#: Most redraw attempts of one sphere direction. A norm below NORM_FLOOR
+#: needs a Box-Muller radius of 0 (u1 = 1) or, for a direction of one sine
+#: word, u2 = 0: at most 2^-53 per attempt, so a direction reaches the cap
+#: with probability below 2^-424.
+MAX_REDRAWS = 8
 
 #: Most values one lookahead request (see ``lookahead_rounds``) holds:
 #: 256 KB of float64, small next to a command's footprint, and enough to
@@ -94,25 +101,6 @@ def gaussian_values(seed: int, stream_ids, start: int, count: int,
     return g[0] if scalar else g
 
 
-def unit_rows(g: np.ndarray, redraw) -> np.ndarray:
-    """Normalize the rows of ``g`` to unit length, redrawing degenerate ones.
-
-    ``redraw(rows)`` must return fresh Gaussian rows for the given row
-    indices (the batch counterpart of the retry substream). In practice
-    the loop body never runs; it exists so that division is provably
-    safe, and tests force it with a stub.
-    """
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-    while True:
-        bad = np.flatnonzero(norms < NORM_FLOOR)
-        if bad.size == 0:
-            break
-        g = g.copy() if g.base is not None else g
-        g[bad] = redraw(bad)
-        norms[bad] = np.sqrt(np.einsum("ij,ij->i", g[bad], g[bad]))
-    return g / norms[:, None]
-
-
 def lookahead_rounds(live: int, words_per_round: int, done: int) -> int:
     """Rounds K a lockstep kernel fetches per request for its ``live`` streams.
 
@@ -126,43 +114,30 @@ def lookahead_rounds(live: int, words_per_round: int, done: int) -> int:
     return max(1, cap)
 
 
-def sphere_rows(seed: int, stream_ids: np.ndarray, gauss_start: int, d: int,
-                retry_state: dict | None = None, rounds: int | None = None) -> np.ndarray:
-    """One unit-sphere direction per stream, lockstep across the batch.
+def sphere_rows(seed: int, stream_ids, gauss_start: int, d: int,
+                rounds: int = 1) -> np.ndarray:
+    """Unit-sphere directions, ``rounds`` per stream, as shape (m, rounds, d).
 
-    Each stream consumes Gaussian words [gauss_start, gauss_start + d)
-    of its main Gaussian substream; underflow redraws (see NORM_FLOOR)
-    come from the per-stream retry substream so the main cursor stays a
-    pure function of the draw index. ``retry_state`` maps stream id ->
-    retry words consumed so far; pass the same dict across rounds to
-    keep per-stream retry cursors (it stays empty in practice).
-
-    With ``rounds=K`` the result has shape (m, K, d): direction t of a
-    stream reads words [gauss_start + t*d, gauss_start + (t+1)*d), all K
-    from one request. Redraws then run round by round, so the result
-    and the retry cursors equal those of K one-round calls.
+    Direction t of a stream reads Gaussian words [s, s + d) of its main
+    Gaussian substream, s = gauss_start + t*d, so all rounds come from
+    one request. A direction whose norm falls below NORM_FLOOR is redrawn
+    from the same words of substream TAG_RETRY + a at attempt a: every
+    direction is a pure function of (seed, stream, s), whatever window or
+    batch it is drawn in. Raises RuntimeError after MAX_REDRAWS attempts.
     """
-    k = 1 if rounds is None else rounds
-    g = gaussian_values(seed, stream_ids, gauss_start, k * d).reshape(-1, k, d)
-    state = retry_state if retry_state is not None else {}
-
-    def redraw(rows):
-        fresh = np.empty((rows.size, d))
-        for j, i in enumerate(rows):
-            sid = int(stream_ids[i])
-            cur = state.get(sid, 0)
-            fresh[j] = gaussian_values(seed, sid, cur, d, substream=TAG_RETRY)
-            state[sid] = cur + d
-        return fresh
-
-    if rounds is None:
-        return unit_rows(g[:, 0], redraw)
-    flat = g.reshape(-1, d)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    if norms.min(initial=np.inf) >= NORM_FLOOR:
-        return (flat / norms[:, None]).reshape(g.shape)
-    out = np.empty_like(g)
-    for t in range(k):
-        out[:, t] = unit_rows(g[:, t], redraw)
-    return out
-
+    ids = np.atleast_1d(stream_ids)
+    g = gaussian_values(seed, ids, gauss_start, rounds * d).reshape(-1, d)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    for j in np.flatnonzero(norms < NORM_FLOOR):
+        i, t = divmod(int(j), rounds)
+        sid, s = int(ids[i]), gauss_start + t * d
+        for attempt in range(MAX_REDRAWS):
+            g[j] = gaussian_values(seed, sid, s, d, substream=TAG_RETRY + attempt)
+            norms[j] = np.sqrt(np.einsum("i,i", g[j], g[j]))
+            if norms[j] >= NORM_FLOOR:
+                break
+        else:
+            raise RuntimeError(
+                f"stream {sid}: the sphere direction at Gaussian word {s} stayed "
+                f"below NORM_FLOOR after {MAX_REDRAWS} redraw attempts")
+    return (g / norms[:, None]).reshape(-1, rounds, d)

@@ -116,7 +116,7 @@ def compare(summary: SummaryStats, domain: Domain, theta, *,
     if isinstance(domain, Ball):
         trace_theory = theoretical_trace(domain, theta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z_trace = float((summary.trace - trace_theory) / summary.trace_se)
+            z_trace = float(np.divide(summary.trace - trace_theory, summary.trace_se))
         zs = np.append(z_mean, z_trace)
     else:
         trace_theory = None

@@ -78,7 +78,6 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
     hops = np.zeros(m, dtype=np.int64)
     Y = np.tile(theta, (m, 1))
     alive = np.arange(m)
-    retry_state: dict = {}
     hop = 0
     # Directions of hops [first, first + K) for the streams alive at
     # `first`, one request per window; `rows` maps alive -> window rows.
@@ -100,7 +99,7 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
             raise MaxHopsExceeded(hop, ids[alive], Y[alive])
         if hop == first + dirs.shape[1]:
             k = min(rng.lookahead_rounds(alive.size, d, hop), cfg.max_hops - hop)
-            dirs = rng.sphere_rows(seed, ids[alive], hop * d, d, retry_state, rounds=k)
+            dirs = rng.sphere_rows(seed, ids[alive], hop * d, d, rounds=k)
             rows, first = np.arange(alive.size), hop
         Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs[rows, hop - first]
         hops[alive] += 1

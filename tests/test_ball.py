@@ -12,7 +12,7 @@ from exitlaw.ball import (KernelQuery, MaxProposalsExceeded, arc_probabilities,
                           expected_exit_time, gamma_half, kernel_normalization,
                           poisson_kernel, rejection_envelope, sample_exact_batch,
                           second_moment_identity_check, second_moment_quadrature,
-                          sphere_surface_area, theoretical_mean, theoretical_trace)
+                          theoretical_mean, theoretical_trace)
 from exitlaw import rng
 from exitlaw.geometry import BoxDomain
 
@@ -26,14 +26,6 @@ def unit_ball(d):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_gamma_half_recurrence_matches_math_gamma(d):
     assert gamma_half(d) == pytest.approx(math.gamma(d / 2), rel=1e-14)
-
-
-def test_surface_areas():
-    assert sphere_surface_area(1, 1.0) == pytest.approx(2.0)           # two points
-    assert sphere_surface_area(2, 1.0) == pytest.approx(2 * math.pi)   # circle
-    assert sphere_surface_area(3, 1.0) == pytest.approx(4 * math.pi)   # sphere
-    assert sphere_surface_area(3, 2.0) == pytest.approx(16 * math.pi)
-    assert sphere_surface_area(4, 1.0) == pytest.approx(2 * math.pi ** 2)
 
 
 def test_kernel_hand_values():
@@ -91,7 +83,7 @@ def test_normalization_rejects_outside_point():
         kernel_normalization(unit_ball(2), np.array([1.0, 0.0]), 100)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("resolution", [0, -3])
 def test_normalization_rejects_resolution_below_1(d, resolution):
     with pytest.raises(ValueError, match=f"resolution must be >= 1, got {resolution}"):
@@ -100,8 +92,9 @@ def test_normalization_rejects_resolution_below_1(d, resolution):
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_normalization_rejects_seed_outside_64_bits(seed):
-    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
-        kernel_normalization(unit_ball(3), np.zeros(3), 16, seed=seed)
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            kernel_normalization(unit_ball(d), np.zeros(d), 16, seed=seed)
 
 
 def test_normalization_runs_at_the_largest_seed():
@@ -253,7 +246,7 @@ def test_exact_points_stay_on_sphere_at_the_refusal_edge(monkeypatch):
     # unrenormalized map misses the sphere by ~2e-8 of r
     ang = math.atan2(-e[1], -e[0]) + np.linspace(-1e-6, 1e-6, 2001)
     near = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    monkeypatch.setattr(rng, "sphere_rows", lambda seed, ids, start, d, state, rounds:
+    monkeypatch.setattr(rng, "sphere_rows", lambda seed, ids, start, d, rounds:
                         near[:, None, :])
     batch = sample_exact_batch(b, th, 8, np.arange(near.shape[0], dtype=np.uint64))
     radii = np.linalg.norm(batch.points - b.center, axis=1)
@@ -346,9 +339,9 @@ def per_round_exact(ball, theta, seed, stream_ids):
     peak = gap if d >= 2 else 2.0 - gap
     points = np.empty((stream_ids.size, d))
     steps = np.empty(stream_ids.size, dtype=np.int64)
-    alive, t, state = np.arange(stream_ids.size), 0, {}
+    alive, t = np.arange(stream_ids.size), 0
     while alive.size:
-        x = rng.sphere_rows(seed, stream_ids[alive], t * d, d, state)
+        x = rng.sphere_rows(seed, stream_ids[alive], t * d, d)[:, 0]
         v = x + a
         s2 = np.einsum("ij,ij->i", v, v)
         u = rng.uniform_values(seed, stream_ids[alive], t, 1)[:, 0]
@@ -373,5 +366,28 @@ def test_lookahead_window_matches_per_round_proposals(monkeypatch, k, d):
     if k is not None:
         monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
     batch = sample_exact_batch(b, th, 4, ids)
+    assert np.array_equal(batch.points, want_points)
+    assert np.array_equal(batch.steps, want_steps)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, None])
+def test_lookahead_window_matches_per_round_proposals_with_redraws(
+        monkeypatch, zero_directions, k):
+    # degenerate directions at the first proposal and at later ones of
+    # streams that live for several proposals are redrawn the same inside
+    # any window as one proposal at a time
+    d = 3
+    b = Ball(np.zeros(d), 1.0)
+    th = np.array([0.8, 0.0, 0.0])                 # M = 5: several proposals
+    ids = np.arange(200, dtype=np.uint64)
+    long = ids[sample_exact_batch(b, th, 4, ids).steps >= 5][:6].tolist()
+    retries = zero_directions(d, {0: (0,)} | {sid: (d, 2 * d, 4 * d) for sid in long})
+    want_points, want_steps = per_round_exact(b, th, 4, ids)
+    redrawn = len(retries)
+    if k is not None:
+        monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
+    batch = sample_exact_batch(b, th, 4, ids)
+    assert len(long) == 6
+    assert redrawn >= 7 and len(retries) >= 2 * redrawn
     assert np.array_equal(batch.points, want_points)
     assert np.array_equal(batch.steps, want_steps)

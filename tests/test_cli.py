@@ -12,9 +12,10 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
-from exitlaw import ball, brownian, cli, driver
+from exitlaw import ball, brownian, cli, driver, rng
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
@@ -267,6 +268,17 @@ def test_sampler_flags_match_the_registry(command):
             assert actions[flag].dest in knob_fields & run_fields
 
 
+def test_run_config_knobs_default_to_the_config_types():
+    run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    knobs = set()
+    for cls in driver.SAMPLERS.values():
+        for f in dataclasses.fields(cls):
+            if f.name in run_defaults:
+                assert run_defaults[f.name] == f.default, (cls.__name__, f.name)
+                knobs.add(f.name)
+    assert knobs == {"dt", "epsilon", "step_fraction", "exit_rule"}
+
+
 def test_exit_rule_reaches_the_brownian_config(monkeypatch, tmp_path):
     seen = []
     real = driver.sample_exits
@@ -366,6 +378,31 @@ def test_kernel_check_fail_exits_1(tmp_path, capsys):
     assert rows[0][header.index("pass")] == "FAIL"
 
 
+@pytest.mark.parametrize("dim", [700, 2000])
+def test_kernel_check_at_large_dim_writes_finite_cells(dim, tmp_path, capsys):
+    # Gamma(d/2) overflows float64 past d ~ 343 and pi^(d/2) past d ~ 1,240
+    out = tmp_path / "k.csv"
+    status = main(["kernel-check", "--dim", str(dim), "--resolution", "2", "--out", str(out)])
+    assert status in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if status == 1:
+        _, header, rows = read_table(out)
+        assert "nan" not in rows[0] and "inf" not in rows[0]
+        assert rows[0][header.index("pass")] == "FAIL"
+
+
+def test_identical_exit_points_fail_without_traceback(tmp_path, capsys):
+    # epsilon 5 absorbs every walk at its start: zero standard errors
+    out = tmp_path / "s.csv"
+    status = main(["sample", "--method", "wos", "--epsilon", "5", "--theta", "0.5,0",
+                   "--n", "10", "--out", str(out)])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "Traceback" not in captured.err
+    _, header, rows = read_table(out)
+    assert rows[0][header.index("pass")] == "FAIL"
+
+
 def test_privacy_reports_predicted_rmse(tmp_path, capsys):
     out = tmp_path / "p.csv"
     status = main(["privacy", "--house", "0.8,0", "--radius", "1",
@@ -446,6 +483,18 @@ def test_brownian_step_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "after 30 steps of dt=1e-06 in a domain of diameter 2" in err
     assert "Traceback" not in err
+
+
+def test_sphere_redraw_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    # every Gaussian word zero: the first direction exhausts its redraws
+    monkeypatch.setattr(rng, "gaussian_values",
+                        lambda seed, ids, start, count, substream=rng.TAG_GAUSS:
+                        np.zeros(np.shape(ids) + (count,)))
+    status = main(["sample", "--method", "wos", "--n", "4", "--out", str(tmp_path / "s.csv")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stream 0: ") and err.count("\n") == 1
+    assert f"after {rng.MAX_REDRAWS} redraw attempts" in err
 
 
 def test_identical_bytes_across_worker_counts(tmp_path):

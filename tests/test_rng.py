@@ -62,7 +62,7 @@ def test_streams_are_deterministic():
 
 def one_stream_directions(seed, n, d):
     """n unit-sphere directions read in sequence from stream 0, as (n, d)."""
-    return rng.sphere_rows(seed, np.zeros(1, dtype=np.uint64), 0, d, {}, rounds=n)[0]
+    return rng.sphere_rows(seed, np.zeros(1, dtype=np.uint64), 0, d, rounds=n)[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
@@ -106,26 +106,11 @@ def test_underflow_redraw_uses_retry_substream(monkeypatch):
         return np.zeros((np.size(stream_ids), count))
 
     monkeypatch.setattr(rng, "gaussian_values", fake)
-    q = rng.sphere_rows(13, np.array([5], dtype=np.uint64), 0, 3)[0]
+    q = rng.sphere_rows(13, np.array([5], dtype=np.uint64), 0, 3)[0, 0]
     assert retry_calls == [(5, 0, 3)]
     expect = real(13, 5, 0, 3, substream=rng.TAG_RETRY)
     assert np.array_equal(q, expect / np.linalg.norm(expect))
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
-
-
-def test_unit_rows_redraws_degenerate_rows():
-    g = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-    seen = []
-    def redraw(rows):
-        seen.append(list(rows))
-        return np.full((rows.size, 2), [0.6, 0.8])
-    out = rng.unit_rows(g, redraw)
-    assert seen == [[1]]
-    assert np.allclose(out[1], [0.6, 0.8])
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
-    # original untouched rows normalized in place of the batch
-    assert np.allclose(out[0], [0.6, 0.8])
-    assert np.allclose(out[2], [1.0, 0.0])
 
 
 def test_sphere_rows_matches_sequential_streams():
@@ -135,7 +120,7 @@ def test_sphere_rows_matches_sequential_streams():
     # final division differently). The sampler kernels are batch-only, so
     # their bit-exactness never rests on this.
     ids = np.arange(6, dtype=np.uint64)
-    batch = rng.sphere_rows(31, ids, 0, 4)
+    batch = rng.sphere_rows(31, ids, 0, 4)[:, 0]
     for i in range(6):
         g = rng.gaussian_values(31, i, 0, 4)
         q = g / np.sqrt(g @ g)
@@ -151,27 +136,36 @@ def test_sphere_rows_batch_width_invariant():
         assert np.array_equal(part, whole[lo:hi])
 
 
-def test_sphere_rows_retry_state_advances():
-    ids = np.array([0, 1], dtype=np.uint64)
-    state = {}
-    calls = {"n": 0}
-    real = rng.gaussian_values
+def test_sphere_rows_redraw_is_pure(zero_directions):
+    # stream 7's direction at word s = 9 is degenerate: its redraw is the
+    # same in a 5-round window from word 3, alone, and in a wider batch,
+    # and it is tag 2's words [s, s + d), normalized as a main direction is
+    d, s = 3, 9
+    w = rng.gaussian_values(4, 7, s, d, substream=rng.TAG_RETRY)
+    retries = zero_directions(d, {7: (s,)})
+    window = rng.sphere_rows(4, np.array([7], dtype=np.uint64), 3, d, rounds=5)[0, 2]
+    alone = rng.sphere_rows(4, np.array([7], dtype=np.uint64), s, d)[0, 0]
+    wide = rng.sphere_rows(4, np.array([1, 7, 30], dtype=np.uint64), s, d, rounds=2)[1, 0]
+    assert retries == [(7, s, rng.TAG_RETRY)] * 3
+    assert np.array_equal(window, alone) and np.array_equal(wide, alone)
+    assert np.array_equal(alone, w / np.sqrt(np.einsum("i,i", w, w)))
 
-    def fake(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
-        if substream == rng.TAG_GAUSS and calls["n"] == 0 and np.ndim(stream_ids) == 1:
-            calls["n"] += 1
-            return np.zeros((len(stream_ids), 2))  # force both rows degenerate
-        return real(seed, stream_ids, start, count, substream)
 
-    orig = rng.gaussian_values
-    rng.gaussian_values = fake
-    try:
-        rows = rng.sphere_rows(17, ids, 0, 2, retry_state=state)
-    finally:
-        rng.gaussian_values = orig
-    assert state == {0: 2, 1: 2}
-    expect0 = real(17, 0, 0, 2, substream=rng.TAG_RETRY)
-    assert np.allclose(rows[0], expect0 / np.linalg.norm(expect0))
+def test_sphere_rows_redraws_are_capped(monkeypatch):
+    # every Gaussian word zero: attempt a reads the direction's words on
+    # substream TAG_RETRY + a, and the last attempt raises naming the stream
+    calls = []
+
+    def zeros(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
+        calls.append((start, count, substream))
+        return np.zeros(np.shape(stream_ids) + (count,))
+
+    monkeypatch.setattr(rng, "gaussian_values", zeros)
+    with pytest.raises(RuntimeError, match=rf"stream 5: .* Gaussian word 6 .* "
+                                           rf"after {rng.MAX_REDRAWS} redraw attempts"):
+        rng.sphere_rows(1, np.array([5], dtype=np.uint64), 6, 3)
+    assert calls == [(6, 3, rng.TAG_GAUSS)] + [(6, 3, rng.TAG_RETRY + a)
+                                               for a in range(rng.MAX_REDRAWS)]
 
 
 def test_lookahead_rounds_doubles_within_caps():
@@ -189,34 +183,21 @@ def test_lookahead_rounds_doubles_within_caps():
 
 def test_sphere_rows_window_matches_single_rounds():
     ids = np.array([3, 8, 2**35], dtype=np.uint64)
-    window = rng.sphere_rows(12, ids, 6, 3, {}, rounds=5)
+    window = rng.sphere_rows(12, ids, 6, 3, rounds=5)
     assert window.shape == (3, 5, 3)
     for t in range(5):
-        assert np.array_equal(window[:, t], rng.sphere_rows(12, ids, 6 + 3 * t, 3))
+        assert np.array_equal(window[:, t], rng.sphere_rows(12, ids, 6 + 3 * t, 3)[:, 0])
 
 
-def test_sphere_rows_window_redraws_round_by_round(monkeypatch):
+def test_sphere_rows_window_redraws_round_by_round(zero_directions):
     # zero the main Gaussians of (stream 1, rounds 0 and 2) and (stream 0,
-    # round 2): the window must redraw them in round order, exactly as
-    # five one-round calls sharing a retry state do
-    d, real = 2, rng.gaussian_values
-    degenerate = {1: (0, 2), 0: (2,)}
-
-    def fake(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
-        g = np.array(real(seed, stream_ids, start, count, substream))
-        if substream == rng.TAG_GAUSS and g.ndim == 2:
-            for i, sid in enumerate(np.asarray(stream_ids).tolist()):
-                for t in degenerate.get(sid, ()):
-                    lo, hi = max(t * d, start), min((t + 1) * d, start + count)
-                    g[i, lo - start:hi - start] = 0.0
-        return g
-
-    monkeypatch.setattr(rng, "gaussian_values", fake)
+    # round 2): the window must redraw them exactly as five one-round
+    # calls do
+    d = 2
+    retries = zero_directions(d, {1: (0, 2 * d), 0: (2 * d,)})
     ids = np.array([0, 1, 2], dtype=np.uint64)
-    window_state, round_state = {}, {}
-    window = rng.sphere_rows(4, ids, 0, d, window_state, rounds=5)
-    rounds = [rng.sphere_rows(4, ids, t * d, d, round_state) for t in range(5)]
-    assert window_state == round_state == {0: 2, 1: 4}
+    window = rng.sphere_rows(4, ids, 0, d, rounds=5)
+    assert sorted(retries) == [(0, 4, 2), (1, 0, 2), (1, 4, 2)]
     for t in range(5):
-        assert np.array_equal(window[:, t], rounds[t])
+        assert np.array_equal(window[:, t], rng.sphere_rows(4, ids, t * d, d)[:, 0])
     assert np.allclose(np.linalg.norm(window, axis=2), 1.0)

@@ -60,6 +60,17 @@ def test_single_point_summary_is_degenerate_not_crashing():
     assert row.note == "degenerate standard errors"
 
 
+def test_identical_points_fail_with_degenerate_errors_not_crashing():
+    # a shell wider than the start's distance absorbs every walk at its
+    # start: all points coincide, so both standard errors are 0
+    sm = summarize(np.tile([1.0, 0.0], (10, 1)))
+    assert sm.trace == 0.0 and sm.trace_se == 0.0
+    row = compare(sm, Ball(np.zeros(2), 1.0), (0.5, 0.0))
+    assert not row.passed
+    assert row.note == "degenerate standard errors"
+    assert row.z_trace == -np.inf
+
+
 def test_compare_perfect_agreement_passes():
     b = Ball(np.zeros(2), 1.0)
     sm = SummaryStats(n=100, mean=np.array([0.5, 0.0]), trace=0.75,

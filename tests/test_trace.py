@@ -41,3 +41,7 @@ def test_traced_table1_reaches_the_method_kernel(method, tmp_path):
     assert layers["driver.calls"] == 9
     for name, layer in LAYERS.items():
         assert (layers[f"{layer}.rounds"] > 0) == (name == method), layer
+    if method != "brownian":
+        # the sphere-direction layer is seen, and no direction is redrawn
+        assert layers["rng.sphere.rows"] > 0
+        assert layers["rng.retry_words"] == 0

@@ -189,7 +189,7 @@ def per_round_walks(domain, theta, cfg, seed, stream_ids):
     eps, d = cfg.resolve_epsilon(domain), domain.dimension
     Y = np.tile(theta, (stream_ids.size, 1))
     points, hops = np.empty_like(Y), np.zeros(stream_ids.size, dtype=np.int64)
-    alive, hop, state = np.arange(stream_ids.size), 0, {}
+    alive, hop = np.arange(stream_ids.size), 0
     while alive.size:
         dist = domain.distance_to_boundary_many(Y[alive])
         done = dist < eps
@@ -198,7 +198,7 @@ def per_round_walks(domain, theta, cfg, seed, stream_ids):
             alive, dist = alive[~done], dist[~done]
             if not alive.size:
                 break
-        dirs = rng.sphere_rows(seed, stream_ids[alive], hop * d, d, state)
+        dirs = rng.sphere_rows(seed, stream_ids[alive], hop * d, d)[:, 0]
         Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs
         hops[alive] += 1
         hop += 1
@@ -216,6 +216,25 @@ def test_lookahead_window_matches_per_round_walks(monkeypatch, k, d):
     if k is not None:
         monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
     batch = wos_exit_batch(domain, theta, cfg, 6, ids(40))
+    assert np.array_equal(batch.points, want_points)
+    assert np.array_equal(batch.steps, want_hops)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, None])
+def test_lookahead_window_matches_per_round_walks_with_redraws(monkeypatch, zero_directions, k):
+    # degenerate directions at the first hop and at later ones are redrawn
+    # the same inside any window as one hop at a time
+    d = 3
+    domain = Ball(np.zeros(d), 1.0)
+    theta = np.full(d, 0.3)
+    cfg = WosConfig(epsilon=1e-4)
+    retries = zero_directions(d, {0: (0,), 3: (0, d, 9 * d), 11: (5 * d,), 39: (2 * d, 3 * d)})
+    want_points, want_hops = per_round_walks(domain, theta, cfg, 6, ids(40))
+    assert len(retries) == 7
+    if k is not None:
+        monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
+    batch = wos_exit_batch(domain, theta, cfg, 6, ids(40))
+    assert len(retries) == 14
     assert np.array_equal(batch.points, want_points)
     assert np.array_equal(batch.steps, want_hops)
 
