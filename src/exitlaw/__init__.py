@@ -14,6 +14,7 @@ from .exits import ExitBatch
 from .brownian import BrownianConfig, MaxStepsExceeded, simulate_exit_batch
 from .wos import MaxHopsExceeded, WosConfig, wos_exit_batch
 from .ball import (
+    ExactConfig,
     KernelQuery,
     MaxProposalsExceeded,
     expected_exit_time,
@@ -25,7 +26,6 @@ from .ball import (
     theoretical_mean,
     theoretical_trace,
 )
-from .driver import ExactConfig
 from .stats import ComparisonRow, SummaryStats, TableConfig, compare, reproduce_table1, summarize
 from .privacy import CloakScenario, PrivacyReport, privacy_curve, run_attacks
 
@@ -35,10 +35,9 @@ __all__ = [
     "ExitBatch",
     "BrownianConfig", "MaxStepsExceeded", "simulate_exit_batch",
     "MaxHopsExceeded", "WosConfig", "wos_exit_batch",
-    "KernelQuery", "MaxProposalsExceeded", "expected_exit_time", "kernel_normalization",
-    "poisson_kernel", "rejection_envelope", "sample_exact_batch",
+    "ExactConfig", "KernelQuery", "MaxProposalsExceeded", "expected_exit_time",
+    "kernel_normalization", "poisson_kernel", "rejection_envelope", "sample_exact_batch",
     "second_moment_identity_check", "theoretical_mean", "theoretical_trace",
-    "ExactConfig",
     "ComparisonRow", "SummaryStats", "TableConfig", "compare", "reproduce_table1",
     "summarize",
     "CloakScenario", "PrivacyReport", "privacy_curve", "run_attacks",

@@ -55,22 +55,6 @@ MAX_RHO_FRACTION = 1.0 - 1e-9
 MAX_PROPOSALS = 1_000_000
 
 
-def gamma_half(d: int) -> float:
-    """Gamma(d/2) for integer d >= 1, by the recurrence from Gamma(1/2) and Gamma(1).
-
-    Only half-integer arguments are ever needed, so the two base cases
-    plus Gamma(x+1) = x*Gamma(x) cover everything without a
-    special-functions dependency.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    x, val = (0.5, math.sqrt(math.pi)) if d % 2 else (1.0, 1.0)
-    while x < d / 2:
-        val *= x
-        x += 1.0
-    return val
-
-
 @dataclass(frozen=True)
 class KernelQuery:
     """A validated (ball, interior point, boundary point) kernel argument."""
@@ -103,7 +87,14 @@ def _kernel_values(ball: Ball, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Unvalidated vectorized kernel evaluation over rows of ys."""
     d = ball.dimension
     rho = float(np.linalg.norm(x - ball.center))
-    const = gamma_half(d) / (2.0 * math.pi ** (d / 2) * ball.radius)
+    # Gamma(d/2) / (2 pi^(d/2) r) in logs: Gamma(d/2) alone overflows
+    # float64 from d = 344, the constant itself (r = 1) from d = 439
+    try:
+        const = math.exp(math.lgamma(d / 2) - d / 2 * math.log(math.pi)
+                         - math.log(2.0) - math.log(ball.radius))
+    except OverflowError:
+        raise ValueError(f"the kernel constant Gamma(d/2)/(2 pi^(d/2) r) overflows "
+                         f"float64 in d={d} at radius {ball.radius:g}") from None
     numer = (ball.radius - rho) * (ball.radius + rho)
     diff = ys - x
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -127,9 +118,7 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
     Raises ValueError for a resolution below 1 or a seed outside
     [0, 2^64) at any d, and for a mass beyond float64.
     """
-    x = as_point(x, ball.dimension)
-    if not ball.contains(x):
-        raise ValueError(f"kernel normalization needs an interior point, got {x}")
+    x = ball.interior_point(x, "x")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if not 0 <= seed < 1 << 64:
@@ -161,10 +150,7 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
 
 def theoretical_mean(domain: Domain, theta) -> np.ndarray:
     """Mean of the exit distribution: theta itself, on any supported domain."""
-    theta = as_point(theta, domain.dimension)
-    if not domain.contains(theta):
-        raise ValueError(f"theta {theta} is not strictly inside the domain")
-    return theta.copy()
+    return domain.interior_point(theta, "theta").copy()
 
 
 def theoretical_trace(ball: Ball, theta) -> float:
@@ -232,7 +218,13 @@ def _check_exact_start(ball: Ball, theta) -> np.ndarray:
     return theta
 
 
-def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids) -> ExitBatch:
+@dataclass(frozen=True)
+class ExactConfig:
+    """The exact sampler, ``sample_exact_batch``: balls only, no knobs."""
+
+
+def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
+                       stream_ids) -> ExitBatch:
     """Exact exit samples by Moebius-proposal rejection, one stream per row.
 
     Proposal t of a stream maps the uniform direction u read from its
@@ -247,8 +239,11 @@ def sample_exact_batch(ball: Ball, theta, seed: int, stream_ids) -> ExitBatch:
     ``rejection_envelope``. Accepted points are renormalized onto the
     sphere, which the map alone misses by rounding that grows as the
     start nears the boundary. Raises MaxProposalsExceeded when M or a
-    sample's proposals exceed MAX_PROPOSALS.
+    sample's proposals exceed MAX_PROPOSALS, and ValueError on a domain
+    that is not a Ball.
     """
+    if not isinstance(ball, Ball):
+        raise ValueError("the exact sampler is defined for balls only")
     theta = _check_exact_start(ball, theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], ball.dimension
@@ -310,9 +305,7 @@ def second_moment_quadrature(ball: Ball, theta, resolution: int = 4096) -> float
     """
     if ball.dimension != 2:
         raise ValueError("the quadrature identity check is a d=2 operation")
-    theta = as_point(theta, 2)
-    if not ball.contains(theta):
-        raise ValueError(f"theta {theta} is not strictly inside the ball")
+    theta = ball.interior_point(theta, "theta")
     r, c = ball.radius, ball.center
     ang = 2.0 * math.pi * np.arange(resolution) / resolution
     ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -330,9 +323,7 @@ def arc_probabilities(ball: Ball, x, n_arcs: int, nodes_per_arc: int = 64) -> np
     """
     if ball.dimension != 2:
         raise ValueError("arc probabilities are a d=2 operation")
-    x = as_point(x, 2)
-    if not ball.contains(x):
-        raise ValueError(f"x {x} is not strictly inside the ball")
+    x = ball.interior_point(x, "x")
     r, c = ball.radius, ball.center
     width = 2.0 * math.pi / n_arcs
     h = width / nodes_per_arc

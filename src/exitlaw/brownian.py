@@ -22,7 +22,17 @@ per-block call overhead, longer ones discard more steps and hold more
 memory; on the ``table1`` brownian run 512 and 2,048 words measured no
 faster than 1,024 (CHANGES.md has the sweep). The Gaussian output is the
 path buffer, scaled and summed in place, so a block holds a few arrays
-of ``live x 1,024`` values whatever the walk length.
+of ``live x 1,024`` values whatever the walk length. The kernel walks
+at most ``_GROUP_STREAMS`` = 2,048 streams at a time, which holds those
+arrays near 2^21 values (16 MB) each however many samples are asked for.
+
+A walk that reaches ``ceil(100 D^2 / dt)`` steps in a domain of diameter
+D raises MaxStepsExceeded rather than being truncated, which would bias
+the exit law. Brownian motion leaves the domain with a tail
+P(tau > t) <= c e^{-lambda_1 t}, lambda_1 >= pi^2 / (8 D^2) (the domain
+lies in a ball of radius D), so outliving the walk time 100 D^2 has a
+probability below c e^{-120}: the configuration is wrong. The grid walk
+sees the same path at the grid times, its rate tending to lambda_1.
 """
 
 from __future__ import annotations
@@ -34,50 +44,43 @@ import numpy as np
 
 from . import philox, rng
 from .exits import ExitBatch
-from .geometry import Domain, as_point
+from .geometry import Domain
 
 EXIT_RULES = ("interpolate", "first-outside")
 
 # Philox words per stream per block (see the module docstring).
 _BLOCK_WORDS = 4 * philox.NARROW_WORDS
 
+# Streams walked at a time: a block then holds at most 2^21 words.
+_GROUP_STREAMS = (1 << 21) // _BLOCK_WORDS
+
 
 @dataclass(frozen=True)
 class BrownianConfig:
-    """Timestep and safety cap for the discretized walk.
+    """Timestep and exit rule of the discretized walk.
 
-    dt is the increment variance per coordinate; max_steps bounds the
-    walk length and turns a runaway configuration (dt far too small, or
-    a huge domain) into an error instead of silent truncation, which
-    would bias the exit law.
-
-    ``max_steps=None`` resolves per domain to ``ceil(100 D^2 / dt)``, a
-    walk time of 100 D^2 for a domain of diameter D. Brownian motion
-    leaves a bounded domain with a tail P(tau > t) <= c e^{-lambda_1 t},
-    and lambda_1 >= pi^2 / (8 D^2) because the domain lies in a ball of
-    radius D; so a walk that outlives the cap has a probability below
-    c e^{-120}, and reaching it means the configuration is wrong. The
-    grid walk sees the same Brownian path at the grid times and its rate
-    tends to lambda_1 as dt -> 0.
+    dt is the increment variance per coordinate; ``exit_rule`` picks how
+    the exit point is read off the first step that leaves the domain.
     """
 
     dt: float = 1e-4
-    max_steps: int | None = None
     exit_rule: str = "interpolate"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.exit_rule not in EXIT_RULES:
             raise ValueError(f"exit_rule must be one of {EXIT_RULES}, got {self.exit_rule!r}")
 
     def resolve_max_steps(self, domain: Domain) -> int:
-        if self.max_steps is not None:
-            return self.max_steps
-        # clipped so that a vanishing dt or a huge domain still gives an int
-        return math.ceil(min(100.0 * domain.diameter() ** 2 / self.dt, 2.0 ** 62))
+        """The step cap ``ceil(100 D^2 / dt)``; a ValueError beyond 2^62 steps."""
+        diameter = domain.diameter()
+        cap = 100.0 * (diameter * diameter) / self.dt
+        if not cap <= 2.0 ** 62:
+            raise ValueError(
+                f"dt={self.dt:g} is too small for a domain of diameter {diameter:g}: "
+                f"the step cap 100 D^2/dt = {cap:.3g} exceeds 2^62")
+        return math.ceil(cap)
 
 
 class MaxStepsExceeded(RuntimeError):
@@ -100,30 +103,43 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
                         stream_ids) -> ExitBatch:
     """Exit samples for one stream per row of ``stream_ids``, all started at theta.
 
-    Step k of a stream reads Gaussian words [k*d, (k+1)*d) of it.
+    Step k of a stream reads Gaussian words [k*d, (k+1)*d) of it. The
+    streams are walked in groups of at most ``_GROUP_STREAMS``; a walk
+    never depends on the others, so the grouping changes no bit. Raises
+    MaxStepsExceeded, carrying the pending walks of the group, when a
+    walk reaches the step cap.
     """
-    theta = as_point(theta, domain.dimension)
-    if not domain.contains(theta):
-        raise ValueError(f"start point {theta} is not strictly inside the domain")
+    theta = domain.interior_point(theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], domain.dimension
-    sqdt = math.sqrt(cfg.dt)
-    max_steps = cfg.resolve_max_steps(domain)
-    block = -(-_BLOCK_WORDS // d)
+    step_cap = cfg.resolve_max_steps(domain)
 
     points = np.empty((m, d))
     times = np.empty(m)
     steps = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, _GROUP_STREAMS):
+        group = slice(lo, lo + _GROUP_STREAMS)
+        _walk(domain, theta, cfg, seed, ids[group], step_cap,
+              points[group], steps[group], times[group])
+    return ExitBatch(points, steps, times)
+
+
+def _walk(domain: Domain, theta: np.ndarray, cfg: BrownianConfig, seed: int,
+          ids: np.ndarray, step_cap: int, points, steps, times) -> None:
+    """Walk the streams ``ids`` to their exits, filling points, steps and times."""
+    m, d = ids.shape[0], domain.dimension
+    sqdt = math.sqrt(cfg.dt)
+    block = -(-_BLOCK_WORDS // d)
     X = np.tile(theta, (m, 1))
     alive = np.arange(m)
     done_steps = 0
     g_next = 0
 
     while alive.size:
-        if done_steps >= max_steps:
+        if done_steps >= step_cap:
             raise MaxStepsExceeded(done_steps, ids[alive], X[alive], cfg.dt,
                                    domain.diameter())
-        width = min(block, max_steps - done_steps)
+        width = min(block, step_cap - done_steps)
         live = alive.size
 
         # path[:, k] is the position after step done_steps + k + 1; adding
@@ -156,5 +172,3 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
         alive = alive[survivors]
         done_steps += width
         g_next += width * d
-
-    return ExitBatch(points, steps, times)

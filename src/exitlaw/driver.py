@@ -2,10 +2,11 @@
 
 Each sampler is named by a method and configured by one frozen config
 type: ``SAMPLERS`` maps ``brownian`` to ``BrownianConfig``, ``wos`` to
-``WosConfig`` and ``exact`` to the knob-free ``ExactConfig``.
-``sample_exits`` takes a config and runs the batch kernel of its type;
-``sampler_config`` builds the config of a named method from the
-command line's knobs.
+``WosConfig`` and ``exact`` to the knob-free ``ExactConfig``. Every
+batch kernel is called as ``kernel(domain, theta, cfg, seed,
+stream_ids)``; ``sample_exits`` takes a config and runs the kernel of
+its type; ``sampler_config`` builds the config of a named method from
+the command line's knobs.
 
 Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
@@ -21,23 +22,28 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from . import ball, brownian, wos
+from .ball import ExactConfig
 from .exits import ExitBatch
-from .geometry import Ball, Domain
-
-
-@dataclass(frozen=True)
-class ExactConfig:
-    """The exact sampler, ``ball.sample_exact_batch``: balls only, no knobs."""
-
+from .geometry import Domain
 
 #: Method name -> config type.
 SAMPLERS = {"brownian": brownian.BrownianConfig, "wos": wos.WosConfig, "exact": ExactConfig}
 METHODS = tuple(SAMPLERS)
+
+#: Config type -> (module, name) of its batch kernel. The kernel is read
+#: off its module per call, so a wrapper set on the module attribute (a
+#: tracer) is the one that runs.
+_KERNELS = {
+    brownian.BrownianConfig: (brownian, "simulate_exit_batch"),
+    wos.WosConfig: (wos, "wos_exit_batch"),
+    ExactConfig: (ball, "sample_exact_batch"),
+}
 
 #: Any sampler config, for annotations.
 Sampler = brownian.BrownianConfig | wos.WosConfig | ExactConfig
@@ -74,26 +80,12 @@ def stream_block(context: int, n: int) -> np.ndarray:
     return (np.uint64(context << 32) + np.arange(n, dtype=np.uint64))
 
 
-def _kernel(domain: Domain, theta, sampler: Sampler, seed: int):
-    """The batch kernel of the config's type, as a function of stream ids.
-
-    Each call reads the kernel off its module, so a wrapper set on the
-    module attribute (a tracer) is the one that runs.
-    """
-    method = method_of(sampler)
-    if method == "brownian":
-        return lambda ids: brownian.simulate_exit_batch(domain, theta, sampler, seed, ids)
-    if method == "wos":
-        return lambda ids: wos.wos_exit_batch(domain, theta, sampler, seed, ids)
-    if not isinstance(domain, Ball):
-        raise ValueError("the exact sampler is defined for balls only")
-    return lambda ids: ball.sample_exact_batch(domain, theta, seed, ids)
-
-
 def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
                  context: int = 0, workers: int = 1) -> ExitBatch:
     """Draw n exit samples with the given sampler config, one stream per sample."""
-    kernel = _kernel(domain, theta, sampler, seed)
+    method_of(sampler)  # a ValueError unless a sampler config
+    module, name = _KERNELS[type(sampler)]
+    kernel = partial(getattr(module, name), domain, theta, sampler, seed)
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     ids = stream_block(context, n)

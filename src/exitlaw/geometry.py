@@ -5,8 +5,9 @@ exactly what the exit samplers require. The operations work on (m, d)
 arrays of points, one row per walk, as the vectorized sampling kernels
 use them; each validates the array shape once, since silent
 broadcasting is the classic failure mode of dimension-generic geometry.
-``contains`` is the one single-point test, for start points, and runs
-through ``contains_many``.
+``contains`` is the one single-point test and runs through
+``contains_many``; ``interior_point`` is the start-point check every
+sampler and closed form shares.
 
 All operations are dimension-generic; nothing in this module special
 cases d.
@@ -41,6 +42,13 @@ class Domain(abc.ABC):
         """True iff the point p lies strictly inside the open domain."""
         q = as_point(p, self.dimension)
         return bool(self.contains_many(q[None, :])[0])
+
+    def interior_point(self, p, name: str = "start point") -> np.ndarray:
+        """p as a point of this domain; a ValueError unless strictly inside."""
+        q = as_point(p, self.dimension)
+        if not self.contains_many(q[None, :])[0]:
+            raise ValueError(f"{name} {q} is not strictly inside the domain")
+        return q
 
     @abc.abstractmethod
     def diameter(self) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import driver
 from .ball import theoretical_trace
 from .brownian import BrownianConfig
-from .geometry import Ball, Domain, as_point
+from .geometry import Ball, Domain
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class CloakScenario:
     sampler: driver.Sampler = BrownianConfig()
 
     def __post_init__(self):
-        house = as_point(self.house, self.privacy_region.dimension)
-        if not self.privacy_region.contains(house):
-            raise ValueError(f"house {house} must lie strictly inside the privacy region")
+        house = self.privacy_region.interior_point(self.house, "house")
         if self.trips < 1:
             raise ValueError(f"trips must be >= 1, got {self.trips}")
         driver.method_of(self.sampler)  # a ValueError unless a sampler config

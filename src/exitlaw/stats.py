@@ -56,16 +56,11 @@ def summarize(samples) -> SummaryStats:
         return SummaryStats(n=n, mean=mu, trace=np.nan,
                             mean_se=np.full(d, np.nan), trace_se=np.nan)
     dev = pts - mu
-    cov_m2 = dev.T @ dev
-    # Moments of Q = |Y|^2 for the delta-method trace SE.
-    q = np.einsum("ij,ij->i", pts, pts)
-    qdev = q - float(q.mean())
-    q_m2 = float(qdev @ qdev)
-    qy_m2 = qdev @ dev
-    var = np.diag(cov_m2) / (n - 1)
-    # Sample variance of W_j = |Y_j - mean|^2, expanded in the moments above.
-    w_m2 = q_m2 - 4.0 * (qy_m2 @ mu) + 4.0 * (mu @ cov_m2 @ mu)
-    var_w = max(w_m2, 0.0) / (n - 1)
+    var = np.diag(dev.T @ dev) / (n - 1)
+    # Sample variance of W_j = |Y_j - mean|^2 for the delta-method trace SE.
+    w = np.einsum("ij,ij->i", dev, dev)
+    wdev = w - w.mean()
+    var_w = float(wdev @ wdev) / (n - 1)
     bias = n / (n - 1)
     return SummaryStats(
         n=n,

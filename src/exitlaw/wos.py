@@ -10,7 +10,8 @@ a config knob.
 
 The projection at absorption displaces the exit point by less than
 epsilon, which at the default (1e-6 of the domain diameter) is far
-below statistical noise at any sample size used here.
+below statistical noise at any sample size used here. A walk still
+outside the shell after ``MAX_HOPS`` hops raises MaxHopsExceeded.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ import numpy as np
 
 from . import rng
 from .exits import ExitBatch
-from .geometry import Domain, as_point
+from .geometry import Domain
+
+#: Most hops one walk may take.
+MAX_HOPS = 1_000_000
 
 
 @dataclass(frozen=True)
 class WosConfig:
-    """Absorption shell width, hop radius fraction, and hop cap.
+    """Absorption shell width and hop radius fraction.
 
     ``epsilon=None`` resolves to 1e-6 times the domain diameter at run
     time — relative, so the sampler's accuracy is scale invariant.
@@ -34,22 +38,19 @@ class WosConfig:
 
     epsilon: float | None = None
     step_fraction: float = 0.5
-    max_hops: int = 1_000_000
 
     def __post_init__(self):
         if self.epsilon is not None and not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.step_fraction <= 1.0):
             raise ValueError(f"step_fraction must be in (0, 1], got {self.step_fraction}")
-        if self.max_hops < 1:
-            raise ValueError(f"max_hops must be >= 1, got {self.max_hops}")
 
     def resolve_epsilon(self, domain: Domain) -> float:
         return self.epsilon if self.epsilon is not None else 1e-6 * domain.diameter()
 
 
 class MaxHopsExceeded(RuntimeError):
-    """Raised when a walk is still outside the shell after max_hops hops."""
+    """Raised when a walk is still outside the shell after MAX_HOPS hops."""
 
     def __init__(self, hops: int, stream_ids, positions):
         self.hops = hops
@@ -67,9 +68,7 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
     Hop h of a stream reads its direction from Gaussian words
     [h*d, (h+1)*d) of it.
     """
-    theta = as_point(theta, domain.dimension)
-    if not domain.contains(theta):
-        raise ValueError(f"start point {theta} is not strictly inside the domain")
+    theta = domain.interior_point(theta)
     eps = cfg.resolve_epsilon(domain)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], domain.dimension
@@ -95,10 +94,10 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
             rows = rows[keep]
             if not alive.size:
                 break
-        if hop >= cfg.max_hops:
+        if hop >= MAX_HOPS:
             raise MaxHopsExceeded(hop, ids[alive], Y[alive])
         if hop == first + dirs.shape[1]:
-            k = min(rng.lookahead_rounds(alive.size, d, hop), cfg.max_hops - hop)
+            k = min(rng.lookahead_rounds(alive.size, d, hop), MAX_HOPS - hop)
             dirs = rng.sphere_rows(seed, ids[alive], hop * d, d, rounds=k)
             rows, first = np.arange(alive.size), hop
         Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs[rows, hop - first]

@@ -1,6 +1,7 @@
 """Closed-form checks for the ball kernel, trace, and exact sampler."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy import stats as sps
 
 from exitlaw import Ball
 from exitlaw import ball as ball_module
-from exitlaw.ball import (KernelQuery, MaxProposalsExceeded, arc_probabilities,
-                          expected_exit_time, gamma_half, kernel_normalization,
+from exitlaw.ball import (ExactConfig, KernelQuery, MaxProposalsExceeded, arc_probabilities,
+                          expected_exit_time, kernel_normalization,
                           poisson_kernel, rejection_envelope, sample_exact_batch,
                           second_moment_identity_check, second_moment_quadrature,
                           theoretical_mean, theoretical_trace)
@@ -23,9 +24,28 @@ def unit_ball(d):
 
 # ------------------------------------------------------------ closed forms
 
+def center_kernel(d):
+    """The kernel at the unit ball's centre, at a boundary point."""
+    y = np.zeros(d)
+    y[0] = 1.0
+    return poisson_kernel(KernelQuery(unit_ball(d), np.zeros(d), y))
+
+
 @pytest.mark.parametrize("d", range(1, 13))
-def test_gamma_half_recurrence_matches_math_gamma(d):
-    assert gamma_half(d) == pytest.approx(math.gamma(d / 2), rel=1e-14)
+def test_center_kernel_is_inverse_surface_area(d):
+    assert center_kernel(d) == pytest.approx(math.gamma(d / 2) / (2 * math.pi ** (d / 2)),
+                                             rel=1e-14)
+
+
+def test_kernel_constant_at_large_dimension():
+    # Gamma(d/2) alone overflows from d = 344; the constant itself is finite
+    # up to d = 438 and obeys K_d / K_(d-2) = (d/2 - 1) / pi
+    exact = math.factorial(199) / Fraction(2 * math.pi ** 200)   # Gamma(200) = 199!
+    assert center_kernel(400) == pytest.approx(float(exact), rel=1e-11)
+    assert center_kernel(438) / center_kernel(436) == pytest.approx(218 / math.pi, rel=1e-11)
+    for d in (439, 1500):
+        with pytest.raises(ValueError, match=f"overflows float64 in d={d} "):
+            center_kernel(d)
 
 
 def test_kernel_hand_values():
@@ -162,10 +182,17 @@ def test_envelope_hand_values():
     assert rejection_envelope(unit_ball(1), (0.5,)) == pytest.approx(1.5)
 
 
+def test_exact_sampler_rejects_non_ball_domains():
+    box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="balls only"):
+        sample_exact_batch(box, (0.1, 0.2), ExactConfig(), 0, np.arange(4, dtype=np.uint64))
+
+
 def test_near_boundary_start_rejected_with_advice():
     b = unit_ball(2)
     with pytest.raises(ValueError, match="walk-on-spheres") as exc:
-        sample_exact_batch(b, (1.0 - 1e-12, 0.0), 0, np.arange(4, dtype=np.uint64))
+        sample_exact_batch(b, (1.0 - 1e-12, 0.0), ExactConfig(), 0,
+                           np.arange(4, dtype=np.uint64))
     # the message prices the start with the plane's envelope, M = 1
     assert "M = 1 proposals" in str(exc.value)
     assert "degenerate" not in str(exc.value)
@@ -175,11 +202,11 @@ def test_exact_points_on_boundary_and_deterministic():
     b = Ball(np.array([0.5, -1.0, 2.0]), 1.5)
     th = np.array([0.9, -1.0, 2.0])
     ids = np.arange(256, dtype=np.uint64)
-    batch = sample_exact_batch(b, th, 5, ids)
+    batch = sample_exact_batch(b, th, ExactConfig(), 5, ids)
     radii = np.linalg.norm(batch.points - b.center, axis=1)
     assert np.abs(radii - 1.5).max() <= 1e-9 * 1.5
     assert (batch.steps >= 1).all()
-    again = sample_exact_batch(b, th, 5, ids)
+    again = sample_exact_batch(b, th, ExactConfig(), 5, ids)
     assert np.array_equal(batch.points, again.points)
     assert np.array_equal(batch.steps, again.steps)
 
@@ -187,10 +214,10 @@ def test_exact_points_on_boundary_and_deterministic():
 def test_exact_batch_row_matches_single_stream_batch():
     b = unit_ball(3)
     th = np.array([0.5, 0.0, 0.0])
-    batch = sample_exact_batch(b, th, 9, np.arange(8, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 9, np.arange(8, dtype=np.uint64))
     assert (batch.steps > 1).any()   # M = 2: some rows reject first
     for i in range(8):
-        one = sample_exact_batch(b, th, 9, [i])
+        one = sample_exact_batch(b, th, ExactConfig(), 9, [i])
         assert np.array_equal(one.points[0], batch.points[i])
         assert one.steps[0] == batch.steps[i]
 
@@ -202,7 +229,7 @@ def test_acceptance_rate_matches_envelope():
     th = np.array([0.5, 0.0, 0.0])
     M = rejection_envelope(b, th)   # 2.0
     n = 20_000
-    batch = sample_exact_batch(b, th, 21, np.arange(n, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 21, np.arange(n, dtype=np.uint64))
     se = math.sqrt(M * (M - 1) / n)   # geometric sd / sqrt(n)
     assert abs(batch.steps.mean() - M) <= 4 * se
 
@@ -213,7 +240,7 @@ def test_exact_plane_is_rejection_free_near_boundary():
     b = unit_ball(2)
     th = np.array([0.95, 0.0])
     n = 100_000
-    batch = sample_exact_batch(b, th, 6, np.arange(n, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 6, np.arange(n, dtype=np.uint64))
     assert (batch.steps == 1).all()
     ang = np.arctan2(batch.points[:, 1], batch.points[:, 0])
     counts = np.histogram(ang, bins=36, range=(-math.pi, math.pi))[0]
@@ -227,7 +254,7 @@ def test_exact_line_exit_share():
     b = Ball(np.array([0.5]), 2.0)
     th = np.array([1.5])   # rho/r = 0.5
     n = 50_000
-    batch = sample_exact_batch(b, th, 12, np.arange(n, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 12, np.arange(n, dtype=np.uint64))
     assert set(np.unique(batch.points[:, 0])) == {-1.5, 2.5}
     p = 0.75
     share = float(np.mean(batch.points[:, 0] == 2.5))
@@ -239,7 +266,7 @@ def test_exact_points_stay_on_sphere_at_the_refusal_edge(monkeypatch):
     b = Ball(np.array([0.3, -0.2]), 2.0)
     e = np.array([0.6, 0.8])
     th = b.center + 2.0 * (1.0 - 1e-8) * e
-    batch = sample_exact_batch(b, th, 8, np.arange(20_000, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 8, np.arange(20_000, dtype=np.uint64))
     radii = np.linalg.norm(batch.points - b.center, axis=1)
     assert np.abs(radii - 2.0).max() <= 1e-9 * 2.0
     # directions within 1e-6 rad of -e, where |u + a| ~ 1 - rho/r and the
@@ -248,7 +275,8 @@ def test_exact_points_stay_on_sphere_at_the_refusal_edge(monkeypatch):
     near = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     monkeypatch.setattr(rng, "sphere_rows", lambda seed, ids, start, d, rounds:
                         near[:, None, :])
-    batch = sample_exact_batch(b, th, 8, np.arange(near.shape[0], dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 8,
+                               np.arange(near.shape[0], dtype=np.uint64))
     radii = np.linalg.norm(batch.points - b.center, axis=1)
     assert np.abs(radii - 2.0).max() <= 1e-9 * 2.0
 
@@ -266,7 +294,8 @@ def test_proposal_cap_names_drawn_envelope_and_unfinished(monkeypatch):
 
     monkeypatch.setattr(rng, "uniform_values", spy)
     with pytest.raises(MaxProposalsExceeded) as exc:
-        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), 1, np.arange(64, dtype=np.uint64))
+        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), ExactConfig(), 1,
+                           np.arange(64, dtype=np.uint64))
     err = exc.value
     assert err.proposals == 150
     assert err.envelope == pytest.approx(100.0)
@@ -281,14 +310,16 @@ def test_envelope_above_cap_refused_before_drawing(monkeypatch):
     monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 50)
     monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
     with pytest.raises(MaxProposalsExceeded, match="after 0 proposals") as exc:
-        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), 1, np.arange(8, dtype=np.uint64))
+        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), ExactConfig(), 1,
+                           np.arange(8, dtype=np.uint64))
     assert exc.value.stream_ids.size == 8
 
 
 def test_exact_center_start_accepts_immediately():
     # at the center the kernel is uniform and M = 1: every proposal lands
     b = unit_ball(3)
-    batch = sample_exact_batch(b, np.zeros(3), 3, np.arange(64, dtype=np.uint64))
+    batch = sample_exact_batch(b, np.zeros(3), ExactConfig(), 3,
+                               np.arange(64, dtype=np.uint64))
     assert (batch.steps == 1).all()
 
 
@@ -297,7 +328,7 @@ def test_exact_sampler_goodness_of_fit():
     b = unit_ball(2)
     th = np.array([0.5, 0.0])
     n = 100_000
-    batch = sample_exact_batch(b, th, 2, np.arange(n, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 2, np.arange(n, dtype=np.uint64))
     ang = np.arctan2(batch.points[:, 1], batch.points[:, 0])
     counts = np.histogram(ang, bins=36, range=(-math.pi, math.pi))[0]
     # arc k of arc_probabilities starts at angle 0; histogram starts at -pi
@@ -324,7 +355,7 @@ def test_second_moment_identity_on_samples():
     b = unit_ball(2)
     th = np.array([0.5, 0.0])
     n = 50_000
-    batch = sample_exact_batch(b, th, 4, np.arange(n, dtype=np.uint64))
+    batch = sample_exact_batch(b, th, ExactConfig(), 4, np.arange(n, dtype=np.uint64))
     w = second_moment_identity_check(batch, th)
     # SE of mean |Y-theta|^2 at this n, measured once and rounded up
     assert abs(w - 0.75) <= 4 * 0.004
@@ -365,7 +396,7 @@ def test_lookahead_window_matches_per_round_proposals(monkeypatch, k, d):
     want_points, want_steps = per_round_exact(b, th, 4, ids)
     if k is not None:
         monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
-    batch = sample_exact_batch(b, th, 4, ids)
+    batch = sample_exact_batch(b, th, ExactConfig(), 4, ids)
     assert np.array_equal(batch.points, want_points)
     assert np.array_equal(batch.steps, want_steps)
 
@@ -380,13 +411,13 @@ def test_lookahead_window_matches_per_round_proposals_with_redraws(
     b = Ball(np.zeros(d), 1.0)
     th = np.array([0.8, 0.0, 0.0])                 # M = 5: several proposals
     ids = np.arange(200, dtype=np.uint64)
-    long = ids[sample_exact_batch(b, th, 4, ids).steps >= 5][:6].tolist()
+    long = ids[sample_exact_batch(b, th, ExactConfig(), 4, ids).steps >= 5][:6].tolist()
     retries = zero_directions(d, {0: (0,)} | {sid: (d, 2 * d, 4 * d) for sid in long})
     want_points, want_steps = per_round_exact(b, th, 4, ids)
     redrawn = len(retries)
     if k is not None:
         monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: k)
-    batch = sample_exact_batch(b, th, 4, ids)
+    batch = sample_exact_batch(b, th, ExactConfig(), 4, ids)
     assert len(long) == 6
     assert redrawn >= 7 and len(retries) >= 2 * redrawn
     assert np.array_equal(batch.points, want_points)

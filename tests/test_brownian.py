@@ -21,8 +21,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BrownianConfig(dt=0.0)
     with pytest.raises(ValueError):
-        BrownianConfig(max_steps=0)
-    with pytest.raises(ValueError):
         BrownianConfig(exit_rule="nearest")
 
 
@@ -72,11 +70,16 @@ def test_block_width_does_not_change_results(monkeypatch):
                 assert np.array_equal(want.exit_times, got.exit_times), case
 
 
+def cap_steps(monkeypatch, steps):
+    monkeypatch.setattr(BrownianConfig, "resolve_max_steps", lambda self, domain: steps)
+
+
 def test_max_steps_cap_off_the_block_edge(monkeypatch):
     # the cap of 701 steps ends partway through the second 512-step block
     # at d=2, and one step into a 4-step block after a width-7 patch; the
     # pending positions are the sums of exactly 701 increments
-    cfg = BrownianConfig(dt=1e-6, max_steps=701)
+    cfg = BrownianConfig(dt=1e-6)
+    cap_steps(monkeypatch, 701)
     g = rng.gaussian_values(0, ids(16), 0, 701 * 2).reshape(16, 701, 2)
     incr = np.concatenate([np.tile(THETA2, (16, 1, 1)), g * np.sqrt(1e-6)], axis=1)
     want = np.cumsum(incr, axis=1)[:, -1]
@@ -101,6 +104,17 @@ def test_block_memory_stays_small():
     assert peak < 32 * 2**20
 
 
+def test_stream_groups_do_not_change_results(monkeypatch):
+    # 30 streams in groups of 7: four full groups and a group of two
+    cfg = BrownianConfig(dt=1e-3)
+    want = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(30))
+    monkeypatch.setattr(brownian, "_GROUP_STREAMS", 7)
+    got = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(30))
+    assert np.array_equal(want.points, got.points)
+    assert np.array_equal(want.steps, got.steps)
+    assert np.array_equal(want.exit_times, got.exit_times)
+
+
 def test_batch_split_does_not_change_results():
     cfg = BrownianConfig(dt=1e-3)
     whole = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(100))
@@ -120,8 +134,9 @@ def test_batch_row_matches_single_stream_batch():
         assert one.exit_times[0] == batch.exit_times[i]
 
 
-def test_max_steps_carries_partial_state():
-    cfg = BrownianConfig(dt=1e-6, max_steps=50)
+def test_max_steps_carries_partial_state(monkeypatch):
+    cfg = BrownianConfig(dt=1e-6)
+    cap_steps(monkeypatch, 50)
     with pytest.raises(MaxStepsExceeded) as err:
         simulate_exit_batch(BALL2, THETA2, cfg, 0, ids(32))
     e = err.value
@@ -133,12 +148,14 @@ def test_max_steps_carries_partial_state():
 
 
 def test_default_step_cap_scales_with_diameter_and_dt():
-    assert BrownianConfig().max_steps is None
     assert BrownianConfig(dt=1e-4).resolve_max_steps(BALL2) == 4_000_000
     box = BoxDomain((0.0, 0.0), (3.0, 4.0))
     assert BrownianConfig(dt=1e-2).resolve_max_steps(box) == 250_000
-    assert BrownianConfig(dt=1e-4, max_steps=7).resolve_max_steps(BALL2) == 7
-    assert BrownianConfig(dt=5e-324).resolve_max_steps(BALL2) == 2 ** 62
+    # a cap beyond 2^62 steps names dt and the diameter instead of clipping
+    with pytest.raises(ValueError, match=r"dt=4\.94066e-324 .* diameter 2: .* exceeds 2\^62"):
+        BrownianConfig(dt=5e-324).resolve_max_steps(BALL2)
+    with pytest.raises(ValueError, match=r"dt=0\.0001 .* diameter 2e\+200: .* = inf"):
+        BrownianConfig().resolve_max_steps(Ball(np.zeros(2), 1e200))
 
 
 def test_theta_must_be_interior():

@@ -485,6 +485,17 @@ def test_brownian_step_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_brownian_step_cap_beyond_2_62_exits_2_with_one_line(tmp_path, capsys):
+    # 100 D^2 / dt overflows float64 at radius 1e200
+    status = main(["sample", "--method", "brownian", "--radius", "1e200", "--n", "5",
+                   "--out", str(tmp_path / "s.csv")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dt=0.0001" in err and "diameter 2e+200" in err
+    assert "Traceback" not in err
+
+
 def test_sphere_redraw_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
     # every Gaussian word zero: the first direction exhausts its redraws
     monkeypatch.setattr(rng, "gaussian_values",

@@ -79,7 +79,11 @@ def test_exact_method_rejects_non_ball_domains():
 def test_registry_maps_each_method_to_one_config_type():
     assert driver.METHODS == ("brownian", "wos", "exact")
     assert [driver.method_of(cls()) for cls in driver.SAMPLERS.values()] == list(driver.METHODS)
-    assert ExactConfig() == ExactConfig() and not dataclasses.fields(ExactConfig)
+    assert ExactConfig() == ExactConfig()
+    # each config type holds only the knobs a user sets
+    names = {m: {f.name for f in dataclasses.fields(cls)} for m, cls in driver.SAMPLERS.items()}
+    assert names == {"brownian": {"dt", "exit_rule"}, "wos": {"epsilon", "step_fraction"},
+                     "exact": set()}
 
 
 def test_sampler_config_takes_each_method_its_own_knobs():

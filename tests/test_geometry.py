@@ -22,6 +22,19 @@ def test_ball_contains():
     assert not b.contains((2.0, 0.0))
 
 
+def test_interior_point_coerces_or_names_the_point():
+    b = unit_ball(2)
+    q = b.interior_point([0.5, 0])
+    assert q.dtype == np.float64 and np.array_equal(q, [0.5, 0.0])
+    with pytest.raises(ValueError, match=r"house \[1\. 0\.\] is not strictly inside"):
+        b.interior_point((1.0, 0.0), "house")
+    box = BoxDomain((0.0, 0.0), (2.0, 1.0))
+    with pytest.raises(ValueError, match="start point .* strictly inside"):
+        box.interior_point((2.0, 0.5))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        box.interior_point((1.0, 0.5, 0.5))
+
+
 def test_box_contains():
     box = BoxDomain((0.0, 0.0), (2.0, 1.0))
     assert box.contains((1.0, 0.5))

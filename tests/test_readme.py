@@ -1,0 +1,21 @@
+"""The README's library example runs against the current API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_block() -> str:
+    """The first fenced python block under the README's "## Library" heading."""
+    text = README.read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "no python block under ## Library"
+    return match.group(1)
+
+
+def test_library_example_runs(capsys):
+    exec(compile(library_block(), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and "vs 0.75" in lines[0] and "predicted" in lines[1]

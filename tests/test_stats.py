@@ -33,8 +33,18 @@ def test_trace_se_matches_direct_delta_formula():
     assert sm.trace_se == pytest.approx(direct, rel=1e-10)
 
 
+def test_trace_se_does_not_depend_on_where_the_ball_sits():
+    # the same exit points, centred at the origin and shifted to (1e7, 0)
+    pts = sample_exact_batch(Ball(np.zeros(2), 1.0), np.array([0.5, 0.0]), ExactConfig(),
+                             1, np.arange(4000, dtype=np.uint64)).points
+    near = summarize(pts)
+    far = summarize(pts + np.array([1e7, 0.0]))
+    assert far.trace_se == pytest.approx(near.trace_se, rel=1e-6)
+    assert far.trace == pytest.approx(near.trace, rel=1e-6)
+
+
 def test_summarize_input_forms():
-    batch = sample_exact_batch(Ball(np.zeros(2), 1.0), np.array([0.3, 0.0]),
+    batch = sample_exact_batch(Ball(np.zeros(2), 1.0), np.array([0.3, 0.0]), ExactConfig(),
                                0, np.arange(50, dtype=np.uint64))
     from_batch = summarize(batch)
     from_array = summarize(batch.points)
@@ -84,7 +94,7 @@ def test_compare_perfect_agreement_passes():
 
 def test_compare_corrupted_mean_fails():
     b = Ball(np.zeros(2), 1.0)
-    batch = sample_exact_batch(b, np.array([0.5, 0.0]), 1,
+    batch = sample_exact_batch(b, np.array([0.5, 0.0]), ExactConfig(), 1,
                                np.arange(10_000, dtype=np.uint64))
     shifted = ExitBatch(batch.points + np.array([1.0, 0.0]), batch.steps)
     # theta=(0.5,0) is ~115 SEs away from the shifted cloud's mean

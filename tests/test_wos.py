@@ -5,10 +5,10 @@ import pytest
 from scipy import stats as sps
 
 from exitlaw import Ball, BoxDomain, WosConfig, MaxHopsExceeded
-from exitlaw.ball import sample_exact_batch
+from exitlaw.ball import ExactConfig, sample_exact_batch
 from exitlaw.geometry import Domain
 from exitlaw.wos import wos_exit_batch
-from exitlaw import rng, stats
+from exitlaw import rng, stats, wos
 
 BALL2 = Ball(np.zeros(2), 1.0)
 THETA2 = np.array([0.5, 0.0])
@@ -63,8 +63,6 @@ def test_config_validation():
         WosConfig(step_fraction=0.0)
     with pytest.raises(ValueError):
         WosConfig(step_fraction=1.5)
-    with pytest.raises(ValueError):
-        WosConfig(max_hops=0)
 
 
 def test_epsilon_default_is_relative_to_diameter():
@@ -119,7 +117,7 @@ def test_matches_exact_sampler_in_distribution():
     # two-sample chi-square over 36 arcs; calibrated statistic 20.3
     n = 10_000
     w = wos_exit_batch(BALL2, THETA2, WosConfig(), 1, ids(n))
-    e = sample_exact_batch(BALL2, THETA2, 1001, ids(n))
+    e = sample_exact_batch(BALL2, THETA2, ExactConfig(), 1001, ids(n))
     bins = np.linspace(-np.pi, np.pi, 37)
     c1 = np.histogram(np.arctan2(w.points[:, 1], w.points[:, 0]), bins=bins)[0]
     c2 = np.histogram(np.arctan2(e.points[:, 1], e.points[:, 0]), bins=bins)[0]
@@ -151,12 +149,13 @@ def test_hop_profile_fields():
     hops = wos_exit_batch(BALL2, THETA2, WosConfig(), 4, ids(500)).steps
     assert hops.shape == (500,)
     assert 1 <= hops.mean() <= np.percentile(hops, 95) <= hops.max()
-    assert hops.max() < 1_000_000   # termination invariant: nowhere near the cap
+    assert hops.max() < wos.MAX_HOPS   # termination invariant: nowhere near the cap
 
 
-def test_max_hops_error():
+def test_max_hops_error(monkeypatch):
+    monkeypatch.setattr(wos, "MAX_HOPS", 1)
     with pytest.raises(MaxHopsExceeded) as err:
-        wos_exit_batch(BALL2, THETA2, WosConfig(epsilon=1e-9, max_hops=1), 0, ids(8))
+        wos_exit_batch(BALL2, THETA2, WosConfig(epsilon=1e-9), 0, ids(8))
     assert err.value.hops == 1
     assert err.value.positions.shape[1] == 2
 
@@ -241,6 +240,7 @@ def test_lookahead_window_matches_per_round_walks_with_redraws(monkeypatch, zero
 
 def test_lookahead_window_respects_hop_cap(monkeypatch):
     monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: 7)
+    monkeypatch.setattr(wos, "MAX_HOPS", 5)
     with pytest.raises(MaxHopsExceeded) as exc:
-        wos_exit_batch(BALL2, THETA2, WosConfig(max_hops=5), 0, ids(10))
+        wos_exit_batch(BALL2, THETA2, WosConfig(), 0, ids(10))
     assert exc.value.hops == 5
