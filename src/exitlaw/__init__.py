@@ -26,7 +26,7 @@ from .ball import (
     theoretical_mean,
     theoretical_trace,
 )
-from .stats import ComparisonRow, SummaryStats, TableConfig, compare, reproduce_table1, summarize
+from .stats import ComparisonRow, SummaryStats, compare, reproduce_table1, summarize
 from .privacy import CloakScenario, PrivacyReport, privacy_curve, run_attacks
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ExactConfig", "KernelQuery", "MaxProposalsExceeded", "expected_exit_time",
     "kernel_normalization", "poisson_kernel", "rejection_envelope", "sample_exact_batch",
     "second_moment_identity_check", "theoretical_mean", "theoretical_trace",
-    "ComparisonRow", "SummaryStats", "TableConfig", "compare", "reproduce_table1",
-    "summarize",
+    "ComparisonRow", "SummaryStats", "compare", "reproduce_table1", "summarize",
     "CloakScenario", "PrivacyReport", "privacy_curve", "run_attacks",
 ]

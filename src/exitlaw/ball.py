@@ -54,6 +54,10 @@ MAX_RHO_FRACTION = 1.0 - 1e-9
 #: with probability (1 - 1/M)^cap < e^-40000.
 MAX_PROPOSALS = 1_000_000
 
+#: Most boundary nodes (d = 2) or sphere draws (d >= 3) one chunk of
+#: ``kernel_normalization`` evaluates at once.
+_CHUNK = 1 << 19
+
 
 @dataclass(frozen=True)
 class KernelQuery:
@@ -65,11 +69,8 @@ class KernelQuery:
 
     def __post_init__(self):
         b = self.ball
-        x = as_point(self.x, b.dimension)
+        x, _ = b.radial_point(self.x, "kernel point x")
         y = as_point(self.y, b.dimension)
-        rho = float(np.linalg.norm(x - b.center))
-        if rho >= b.radius:
-            raise ValueError(f"kernel point x={x} is not strictly inside the ball")
         ydist = abs(float(np.linalg.norm(y - b.center)) - b.radius)
         if ydist > BOUNDARY_RTOL * b.radius:
             raise ValueError(f"kernel point y={y} is off the boundary by {ydist:.3g}")
@@ -115,10 +116,12 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
       Surface area times kernel is (1 - rho/r)(1 + rho/r) (r/|x-y|)^d,
       with no Gamma or pi power to overflow at large d.
 
-    Raises ValueError for a resolution below 1 or a seed outside
-    [0, 2^64) at any d, and for a mass beyond float64.
+    Both sums run in chunks of at most ``_CHUNK`` nodes or draws, so
+    memory stays bounded at any resolution. Raises ValueError for a
+    resolution below 1 or a seed outside [0, 2^64) at any d, and for a
+    mass beyond float64.
     """
-    x = ball.interior_point(x, "x")
+    x, rho = ball.radial_point(x, "x")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if not 0 <= seed < 1 << 64:
@@ -127,21 +130,23 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
     if d == 1:
         ys = np.array([[c[0] - r], [c[0] + r]])
         return float(_kernel_values(ball, x, ys).sum())
-    if d == 2:
-        ang = 2.0 * math.pi * np.arange(resolution) / resolution
-        ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return float(_kernel_values(ball, x, ys).sum() * (2.0 * math.pi * r / resolution))
-    rho = float(np.linalg.norm(x - c))
     stream = np.zeros(1, dtype=np.uint64)
     total = 0.0
     done = 0
     while done < resolution:
-        # at most 2^19 draws and 2^21 Gaussian values (16 MB) per request
-        step = min(resolution - done, 1 << 19, max(1, (1 << 21) // d))
-        diff = c + r * rng.sphere_rows(seed, stream, done * d, d, rounds=step)[0] - x
-        with np.errstate(over="ignore"):
-            total += float(np.sum((r / np.sqrt(np.einsum("ij,ij->i", diff, diff))) ** d))
+        # at most 2^21 Gaussian values (16 MB) per request in d >= 3
+        step = min(resolution - done, _CHUNK, max(1, (1 << 21) // d))
+        if d == 2:
+            ang = 2.0 * math.pi * np.arange(done, done + step) / resolution
+            ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            total += float(_kernel_values(ball, x, ys).sum())
+        else:
+            diff = c + r * rng.sphere_rows(seed, stream, done * d, d, rounds=step)[0] - x
+            with np.errstate(over="ignore"):
+                total += float(np.sum((r / np.sqrt(np.einsum("ij,ij->i", diff, diff))) ** d))
         done += step
+    if d == 2:
+        return total * (2.0 * math.pi * r / resolution)
     mass = (r - rho) / r * ((r + rho) / r) * total / resolution
     if not math.isfinite(mass):
         raise ValueError(f"kernel normalization overflows float64 in d={d}")
@@ -160,10 +165,7 @@ def theoretical_trace(ball: Ball, theta) -> float:
     the cancellation the squared form suffers when theta approaches the
     boundary.
     """
-    theta = as_point(theta, ball.dimension)
-    rho = float(np.linalg.norm(theta - ball.center))
-    if rho >= ball.radius:
-        raise ValueError(f"theta {theta} is not strictly inside the ball")
+    _, rho = ball.radial_point(theta, "theta")
     return (ball.radius - rho) * (ball.radius + rho)
 
 
@@ -181,11 +183,8 @@ def rejection_envelope(ball: Ball, theta) -> float:
     M = (r / (r - rho))^(d-2) (one in the plane), and at the near end
     for d = 1, giving M = (r + rho) / r.
     """
-    theta = as_point(theta, ball.dimension)
+    _, rho = ball.radial_point(theta, "theta")
     r, d = ball.radius, ball.dimension
-    rho = float(np.linalg.norm(theta - ball.center))
-    if rho >= r:
-        raise ValueError(f"theta {theta} is not strictly inside the ball")
     if d == 1:
         return (r + rho) / r
     return (r / (r - rho)) ** (d - 2)
@@ -204,18 +203,15 @@ class MaxProposalsExceeded(RuntimeError):
             f"per sample). Use the walk-on-spheres sampler for this start.")
 
 
-def _check_exact_start(ball: Ball, theta) -> np.ndarray:
-    theta = as_point(theta, ball.dimension)
-    rho = float(np.linalg.norm(theta - ball.center))
-    if rho >= ball.radius:
-        raise ValueError(f"theta {theta} is not strictly inside the ball")
+def _check_exact_start(ball: Ball, theta) -> tuple[np.ndarray, float]:
+    theta, rho = ball.radial_point(theta, "theta")
     if rho / ball.radius > MAX_RHO_FRACTION:
         raise ValueError(
             f"theta is within {ball.radius - rho:.3g} of the boundary, closer than "
             f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
             f"M = {rejection_envelope(ball, theta):.3g} proposals per sample). "
             f"Use the walk-on-spheres sampler for near-boundary starts.")
-    return theta
+    return theta, rho
 
 
 @dataclass(frozen=True)
@@ -244,12 +240,12 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     """
     if not isinstance(ball, Ball):
         raise ValueError("the exact sampler is defined for balls only")
-    theta = _check_exact_start(ball, theta)
+    theta, rho = _check_exact_start(ball, theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], ball.dimension
     r, c = ball.radius, ball.center
     a = (theta - c) / r
-    gap = (r - float(np.linalg.norm(theta - c))) / r      # 1 - rho/r
+    gap = (r - rho) / r                                   # 1 - rho/r
     power = gap * (2.0 - gap)                             # 1 - (rho/r)^2
     peak = gap if d >= 2 else 2.0 - gap
     envelope = rejection_envelope(ball, theta)

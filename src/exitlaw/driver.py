@@ -88,6 +88,8 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
     kernel = partial(getattr(module, name), domain, theta, sampler, seed)
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ids = stream_block(context, n)
 
     threads = min(workers, n, os.cpu_count() or 1)

@@ -7,7 +7,8 @@ use them; each validates the array shape once, since silent
 broadcasting is the classic failure mode of dimension-generic geometry.
 ``contains`` is the one single-point test and runs through
 ``contains_many``; ``interior_point`` is the start-point check every
-sampler and closed form shares.
+sampler shares, and ``Ball.radial_point`` the one of the ball's closed
+forms, which also need the start's distance from the center.
 
 All operations are dimension-generic; nothing in this module special
 cases d.
@@ -108,6 +109,18 @@ class Ball(Domain):
     @property
     def dimension(self) -> int:
         return self.center.shape[0]
+
+    def radial_point(self, p, name: str = "start point") -> tuple[np.ndarray, float]:
+        """(p, rho) with rho = |p - center|; a ValueError unless rho < radius.
+
+        The test is on rho itself, not ``contains_many``'s squared norm,
+        so a caller dividing by radius - rho never sees a zero gap.
+        """
+        q = as_point(p, self.dimension)
+        rho = float(np.linalg.norm(q - self.center))
+        if rho >= self.radius:
+            raise ValueError(f"{name} {q} is not strictly inside the ball")
+        return q, rho
 
     def _land_on_boundary(self, v, rho):
         """Map interior offsets v (rows, with norms rho > 0) radially onto

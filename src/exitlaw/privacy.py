@@ -117,16 +117,17 @@ def privacy_curve(scenario: CloakScenario, trips_grid, replications: int,
                   seed: int, workers: int = 1) -> list[PrivacyCurvePoint]:
     """Attack RMSE over a grid of trip counts, each over many replications.
 
-    Grid cell g uses stream context g, so cells are independent.
+    Grid cell g uses stream context g, so cells are independent. Every
+    cell is checked before any is sampled.
     """
+    cells = [replace(scenario, trips=int(trips)) for trips in trips_grid]
     points = []
-    for g, trips in enumerate(trips_grid):
-        cell = replace(scenario, trips=int(trips))
+    for g, cell in enumerate(cells):
         reports = run_attacks(cell, seed, replications, context=g, workers=workers)
         emp = math.sqrt(float(np.mean([rep.error ** 2 for rep in reports])))
         pred = reports[0].predicted_rmse
         points.append(PrivacyCurvePoint(
-            trips=int(trips),
+            trips=cell.trips,
             empirical_rmse=emp,
             predicted_rmse=pred,
             ratio=emp / pred if pred is not None else None,

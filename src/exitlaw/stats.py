@@ -135,32 +135,21 @@ def compare(summary: SummaryStats, domain: Domain, theta, *,
     )
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    """Sampler and sample size for the nine-setting reproduction run."""
-
-    sampler: driver.Sampler = BrownianConfig()
-    n: int = 500
-    workers: int = 1
-
-    def __post_init__(self):
-        driver.method_of(self.sampler)  # a ValueError unless a sampler config
-
-
-def reproduce_table1(cfg: TableConfig, seed: int) -> list[ComparisonRow]:
+def reproduce_table1(sampler: driver.Sampler, n: int, seed: int,
+                     workers: int = 1) -> list[ComparisonRow]:
     """Run the nine (d, rho) settings on the unit ball and score each row.
 
     Settings are d in {2, 3, 4} crossed with start distance rho in
-    {0.2, 0.5, 0.8} from the center of the unit ball, n samples each.
-    Row k draws from stream context k, so rows are independent and any
-    row can be recomputed in isolation.
+    {0.2, 0.5, 0.8} from the center of the unit ball, n samples each,
+    drawn by the ``sampler`` config. Row k draws from stream context k,
+    so rows are independent and any row can be recomputed in isolation.
     """
     rows = []
     for k, (d, rho) in enumerate(TABLE1_SETTINGS):
         domain = Ball(np.zeros(d), 1.0)
         theta = np.zeros(d)
         theta[0] = rho
-        batch = driver.sample_exits(domain, theta, cfg.sampler, cfg.n, seed,
-                                    context=k, workers=cfg.workers)
-        rows.append(compare(summarize(batch), domain, theta, sampler=cfg.sampler))
+        batch = driver.sample_exits(domain, theta, sampler, n, seed,
+                                    context=k, workers=workers)
+        rows.append(compare(summarize(batch), domain, theta, sampler=sampler))
     return rows

@@ -98,6 +98,14 @@ def test_normalization_monte_carlo(d):
     assert abs(exact - 1.0) <= 1e-12
 
 
+def test_d2_normalization_sums_in_chunks(monkeypatch):
+    # 100 nodes in chunks of 7 against one chunk: only the summation order differs
+    x = np.array([0.6, 0.2])
+    whole = kernel_normalization(unit_ball(2), x, 100)
+    monkeypatch.setattr(ball_module, "_CHUNK", 7)
+    assert kernel_normalization(unit_ball(2), x, 100) == pytest.approx(whole, rel=1e-14, abs=0)
+
+
 def test_normalization_rejects_outside_point():
     with pytest.raises(ValueError):
         kernel_normalization(unit_ball(2), np.array([1.0, 0.0]), 100)

@@ -2,9 +2,10 @@
 
 Parsing tests call parse_args directly; end-to-end tests call main() with
 --out pointed at tmp_path and inspect the written CSV/text plus the one
-summary line on stdout.  Fast sampler settings keep these runs cheap —
-the statistical behavior of each command's engine is tested in the
-module-specific files.
+summary line on stdout. A value the library's types refuse exits 2 from
+main() with one ``error:`` line and no output file. Fast sampler
+settings keep these runs cheap — the statistical behavior of each
+command's engine is tested in the module-specific files.
 """
 
 import argparse
@@ -15,12 +16,11 @@ import re
 import numpy as np
 import pytest
 
-from exitlaw import ball, brownian, cli, driver, rng
+from exitlaw import ball, brownian, cli, driver, rng, wos
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
     SAMPLING_HEADER,
-    RunConfig,
     build_parser,
     main,
     parse_args,
@@ -71,11 +71,25 @@ def test_parse_privacy_defaults():
     assert cfg.trips_grid is None
 
 
-def test_theta_outside_domain_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse_args("sample --dim 2 --theta 2,0 --radius 1 --center 0,0".split())
-    assert exc.value.code == 2
-    assert "theta outside domain" in capsys.readouterr().err
+def exit_status(argv, out):
+    """main(argv + --out out) as an exit status, whichever layer refuses the input."""
+    try:
+        return main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # a check of the parser's own
+        return exc.code
+
+
+def assert_one_line_error(err, fragment):
+    assert fragment in err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_theta_outside_domain_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = "sample --dim 2 --theta 2,0 --radius 1 --center 0,0".split()
+    assert exit_status(argv, out) == 2
+    assert_one_line_error(capsys.readouterr().err, "[2. 0.] is not strictly inside")
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2():
@@ -90,33 +104,56 @@ def test_missing_command_exits_2():
     assert exc.value.code == 2
 
 
+def library_case(argv, fragment, subject):
+    """A value the library refuses; the id names the flag or fault the case is about."""
+    return pytest.param(argv, fragment, id=f"{argv}-{subject}")
+
+
 @pytest.mark.parametrize("argv, fragment", [
-    ("table1 --n 0", "--n"),
+    library_case("table1 --n 0", "need n >= 1 samples, got 0", "--n"),
     ("table1 --dt 0", "dt must be positive"),
     ("table1 --step-fraction 1.5", "step_fraction must be in"),
     ("table1 --epsilon -1", "epsilon must be positive"),
-    ("table1 --workers 0", "--workers"),
+    library_case("table1 --workers 0", "workers must be >= 1, got 0", "--workers"),
     ("sample --dim 0", "--dim"),
     ("sample --dim 5", "CSV schema"),
-    ("sample --radius -2", "--radius"),
+    library_case("sample --radius -2", "radius must be positive and finite, got -2.0",
+                 "--radius"),
     ("sample --dim 3 --theta 0.5,0", "coordinates"),
-    ("kernel-check --rho 1.0", "--rho"),
-    ("kernel-check --resolution 1", "--resolution"),
-    ("privacy --house 1.5,0", "house outside privacy region"),
-    ("privacy --trips 0", "--trips"),
-    ("privacy --replications 0", "--replications"),
-    ("privacy --trips-grid 10,0", "--trips-grid"),
-    ("privacy --house 0.5,0,0 --center 0,0", "same dimension"),
-    ("table1 --seed -1", "--seed must lie in [0, 2^64), got -1"),
-    ("sample --seed 18446744073709551616",
-     "--seed must lie in [0, 2^64), got 18446744073709551616"),
-    ("kernel-check --seed -18446744073709551615", "--seed must lie in [0, 2^64)"),
+    library_case("kernel-check --rho 1.0", "x [1. 0.] is not strictly inside", "--rho"),
+    library_case("kernel-check --resolution 0", "resolution must be >= 1, got 0",
+                 "--resolution"),
+    library_case("privacy --house 1.5,0", "house [1.5 0. ] is not strictly inside",
+                 "house outside privacy region"),
+    library_case("privacy --trips 0", "trips must be >= 1, got 0", "--trips"),
+    library_case("privacy --replications 0", "replications must be >= 1, got 0",
+                 "--replications"),
+    library_case("privacy --trips-grid 10,0", "trips must be >= 1, got 0", "--trips-grid"),
+    library_case("privacy --house 0.5,0,0 --center 0,0", "dimension mismatch: expected 2, got 3",
+                 "same dimension"),
+    library_case("table1 --seed -1", "seed must lie in [0, 2^64), got -1",
+                 "--seed must lie in [0, 2^64), got -1"),
+    library_case("sample --seed 18446744073709551616",
+                 "seed must lie in [0, 2^64), got 18446744073709551616",
+                 "--seed must lie in [0, 2^64), got 18446744073709551616"),
+    library_case("kernel-check --seed -18446744073709551615",
+                 "seed must lie in [0, 2^64), got -18446744073709551615",
+                 "--seed must lie in [0, 2^64)"),
 ])
-def test_out_of_range_values_exit_2(argv, fragment, capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse_args(argv.split())
-    assert exc.value.code == 2
-    assert fragment in capsys.readouterr().err
+def test_out_of_range_values_exit_2(argv, fragment, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert exit_status(argv.split(), out) == 2
+    assert_one_line_error(capsys.readouterr().err, fragment)
+    assert not out.exists()
+
+
+def test_kernel_check_resolution_1_runs_and_fails(tmp_path, capsys):
+    # one node at angle 0 weighs the kernel's peak by the full circumference
+    out = tmp_path / "k.csv"
+    assert main(["kernel-check", "--resolution", "1", "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    _, header, rows = read_table(out)
+    assert rows[0][header.index("resolution")] == "1"
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -210,12 +247,27 @@ def test_config_seed_outside_64_bits_exits_2(tmp_path, seed, capsys):
     # Philox keys on the seed modulo 2^64, so such a seed would alias one in range
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"seed": seed}))
+    out = tmp_path / "s.csv"
+    assert exit_status(["sample", "--method", "exact", "--config", str(path)], out) == 2
+    assert_one_line_error(capsys.readouterr().err, f"seed must lie in [0, 2^64), got {seed}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n", "n_samples", "step-fraction", "step_fraction"])
+def test_config_keys_are_flag_names_or_dests(tmp_path, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: 1}))
+    ns = parse_args(["table1", "--config", str(path)])
+    assert ns.n_samples == 1 if key.startswith("n") else ns.step_fraction == 1.0
+
+
+def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"house": [0.5, 0]}))
     with pytest.raises(SystemExit) as exc:
-        main(["sample", "--method", "exact", "--config", str(path)])
+        parse_args(["table1", "--config", str(path)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"--seed must lie in [0, 2^64), got {seed}" in err
-    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "unknown config file key 'house'" in capsys.readouterr().err
 
 
 def test_largest_seed_runs(tmp_path):
@@ -262,21 +314,46 @@ def test_sampler_flags_match_the_registry(command):
     assert tuple(actions["--method"].choices) == driver.METHODS
     assert {"--dt", "--epsilon", "--step-fraction"} <= actions.keys()
     knob_fields = {f.name for cls in driver.SAMPLERS.values() for f in dataclasses.fields(cls)}
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
     for flag in SAMPLER_FLAGS:
         if flag in actions:
-            assert actions[flag].dest in knob_fields & run_fields
+            assert actions[flag].dest in knob_fields
 
 
 def test_run_config_knobs_default_to_the_config_types():
-    run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     knobs = set()
-    for cls in driver.SAMPLERS.values():
-        for f in dataclasses.fields(cls):
-            if f.name in run_defaults:
-                assert run_defaults[f.name] == f.default, (cls.__name__, f.name)
-                knobs.add(f.name)
+    for command in ("table1", "sample", "privacy"):
+        defaults = {a.dest: a.default for a in subcommand_actions(command).values()}
+        for cls in driver.SAMPLERS.values():
+            for f in dataclasses.fields(cls):
+                if f.name in defaults:
+                    assert defaults[f.name] == f.default, (command, cls.__name__, f.name)
+                    knobs.add(f.name)
     assert knobs == {"dt", "epsilon", "step_fraction", "exit_rule"}
+
+
+SHOWN_DEFAULTS = {"--dt": brownian.BrownianConfig.dt,
+                  "--step-fraction": wos.WosConfig.step_fraction,
+                  "--exit-rule": brownian.BrownianConfig.exit_rule}
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ([], ()),
+    (["table1"], ("--dt", "--step-fraction")),
+    (["sample"], ("--dt", "--step-fraction", "--exit-rule")),
+    (["kernel-check"], ()),
+    (["privacy"], ("--dt", "--step-fraction")),
+])
+def test_help_exits_0(argv, flags, capsys):
+    # argparse formats a help string only when it prints it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: exitlaw") and "Traceback" not in captured.err
+    text = " ".join(captured.out.split())
+    for flag in flags:
+        shown = re.search(rf" {flag} \S+ [^()]*\(default ([^)]*)\)", text)
+        assert shown and shown.group(1) == str(SHOWN_DEFAULTS[flag]), flag
 
 
 def test_exit_rule_reaches_the_brownian_config(monkeypatch, tmp_path):
@@ -456,7 +533,9 @@ def test_unwritable_out_path_reports_path(tmp_path):
 
 
 def test_runtime_errors_exit_2(capsys):
-    status = cli.run(RunConfig(command="table1", method="teleport"))
+    ns = parse_args(["table1"])
+    ns.method = "teleport"
+    status = cli.run(ns)
     assert status == 2
     assert "error:" in capsys.readouterr().err
 

@@ -55,6 +55,12 @@ def test_sample_exits_validates_method_and_n():
         driver.sample_exits(DISK, THETA, WosConfig(), 0, seed=0)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sample_exits_rejects_workers_below_1(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        driver.sample_exits(DISK, THETA, ExactConfig(), 10, seed=0, workers=workers)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_64_bits_raises(seed):
     # Philox would key on the seed modulo 2^64 and alias a seed in range

@@ -22,6 +22,16 @@ def test_ball_contains():
     assert not b.contains((2.0, 0.0))
 
 
+def test_radial_point_returns_rho_or_names_the_point():
+    b = Ball(np.array([1.0, 0.0]), 2.0)
+    q, rho = b.radial_point([1.0, 1.5])
+    assert q.dtype == np.float64 and np.array_equal(q, [1.0, 1.5]) and rho == 1.5
+    with pytest.raises(ValueError, match=r"theta \[3\. 0\.\] is not strictly inside the ball"):
+        b.radial_point((3.0, 0.0), "theta")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        b.radial_point((1.0, 0.5, 0.5))
+
+
 def test_interior_point_coerces_or_names_the_point():
     b = unit_ball(2)
     q = b.interior_point([0.5, 0])

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from exitlaw import driver
 from exitlaw.brownian import BrownianConfig
 from exitlaw.driver import ExactConfig
 from exitlaw.geometry import Ball, BoxDomain
@@ -224,6 +225,16 @@ def test_sampler_tags_are_statistically_indistinguishable():
     for a, b in pairs:
         (ra, sa), (rb, sb) = stats[a], stats[b]
         assert abs(ra - rb) <= 4.0 * math.hypot(sa, sb), (a, b, ra, rb)
+
+
+def test_privacy_curve_checks_every_cell_before_sampling(monkeypatch):
+    calls = []
+    real = driver.sample_exits
+    monkeypatch.setattr(driver, "sample_exits",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    with pytest.raises(ValueError, match="trips must be >= 1, got 0"):
+        privacy_curve(disk_scenario([0.5, 0.0], 10), trips_grid=(10, 0), replications=1, seed=0)
+    assert calls == []
 
 
 def test_privacy_curve_cells_keep_the_scenario_sampler():

@@ -6,8 +6,8 @@ import pytest
 from exitlaw import Ball, BoxDomain, BrownianConfig, ExactConfig, WosConfig
 from exitlaw.ball import sample_exact_batch
 from exitlaw.exits import ExitBatch
-from exitlaw.stats import (TABLE1_SETTINGS, ComparisonRow, SummaryStats,
-                           TableConfig, compare, reproduce_table1, summarize)
+from exitlaw.stats import (TABLE1_SETTINGS, ComparisonRow, SummaryStats, compare,
+                           reproduce_table1, summarize)
 
 
 def test_two_point_hand_example():
@@ -136,15 +136,16 @@ def test_compare_cells_come_from_the_sampler_config():
 
 @pytest.mark.parametrize("sampler", ["exact", None, ExactConfig])
 def test_table_config_rejects_unknown_sampler(sampler):
+    # the table's sampler argument must be a config; sample_exits refuses the rest
     with pytest.raises(ValueError, match="sampler must be a config of a method in"):
-        TableConfig(sampler=sampler)
+        reproduce_table1(sampler, 10, seed=0)
 
 
 def test_table_settings_and_theory_column():
     assert TABLE1_SETTINGS == ((2, 0.2), (2, 0.5), (2, 0.8),
                                (3, 0.2), (3, 0.5), (3, 0.8),
                                (4, 0.2), (4, 0.5), (4, 0.8))
-    rows = reproduce_table1(TableConfig(sampler=ExactConfig(), n=64), seed=0)
+    rows = reproduce_table1(ExactConfig(), 64, seed=0)
     theory = [row.trace_theory for row in rows]
     assert theory == pytest.approx([0.96, 0.75, 0.36] * 3, abs=1e-15)
     assert [row.d for row in rows] == [2, 2, 2, 3, 3, 3, 4, 4, 4]
@@ -152,22 +153,22 @@ def test_table_settings_and_theory_column():
 
 def test_table_passes_on_all_methods():
     for sampler in (ExactConfig(), WosConfig()):
-        rows = reproduce_table1(TableConfig(sampler=sampler, n=400), seed=0)
+        rows = reproduce_table1(sampler, 400, seed=0)
         assert all(row.passed for row in rows), sampler
-    rows = reproduce_table1(TableConfig(sampler=BrownianConfig(dt=1e-3), n=200), seed=0)
+    rows = reproduce_table1(BrownianConfig(dt=1e-3), 200, seed=0)
     assert all(row.passed for row in rows)
 
 
 def test_table_n1_is_degenerate_not_crashing():
-    rows = reproduce_table1(TableConfig(sampler=ExactConfig(), n=1), seed=0)
+    rows = reproduce_table1(ExactConfig(), 1, seed=0)
     assert len(rows) == 9
     assert all(not row.passed for row in rows)
     assert all(row.note == "degenerate standard errors" for row in rows)
 
 
 def test_table_workers_do_not_change_rows():
-    a = reproduce_table1(TableConfig(sampler=ExactConfig(), n=300), seed=2)
-    b = reproduce_table1(TableConfig(sampler=ExactConfig(), n=300, workers=4), seed=2)
+    a = reproduce_table1(ExactConfig(), 300, seed=2)
+    b = reproduce_table1(ExactConfig(), 300, seed=2, workers=4)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.summary.mean, rb.summary.mean)
         assert ra.summary.trace == rb.summary.trace
@@ -183,7 +184,7 @@ def test_pass_rate_calibration_over_100_seeds():
     # drift halves the estimated trace SE and pushes z_trace to 5.5.  The
     # SE formula itself is exercised separately above.
     passes = sum(
-        all(row.passed for row in reproduce_table1(TableConfig(sampler=ExactConfig(), n=500), seed=s))
+        all(row.passed for row in reproduce_table1(ExactConfig(), 500, seed=s))
         for s in range(100)
     )
     assert passes >= 99
