@@ -7,7 +7,7 @@ formulas to verify them against, and a location-privacy application
 built on the same machinery.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .geometry import Ball, BoxDomain, Domain
 from .exits import ExitBatch
@@ -15,14 +15,12 @@ from .brownian import BrownianConfig, MaxStepsExceeded, simulate_exit_batch
 from .wos import MaxHopsExceeded, WosConfig, wos_exit_batch
 from .ball import (
     ExactConfig,
-    KernelQuery,
     MaxProposalsExceeded,
     expected_exit_time,
     kernel_normalization,
     poisson_kernel,
     rejection_envelope,
     sample_exact_batch,
-    second_moment_identity_check,
     theoretical_mean,
     theoretical_trace,
 )
@@ -35,9 +33,9 @@ __all__ = [
     "ExitBatch",
     "BrownianConfig", "MaxStepsExceeded", "simulate_exit_batch",
     "MaxHopsExceeded", "WosConfig", "wos_exit_batch",
-    "ExactConfig", "KernelQuery", "MaxProposalsExceeded", "expected_exit_time",
+    "ExactConfig", "MaxProposalsExceeded", "expected_exit_time",
     "kernel_normalization", "poisson_kernel", "rejection_envelope", "sample_exact_batch",
-    "second_moment_identity_check", "theoretical_mean", "theoretical_trace",
+    "theoretical_mean", "theoretical_trace",
     "ComparisonRow", "SummaryStats", "compare", "reproduce_table1", "summarize",
     "CloakScenario", "PrivacyReport", "privacy_curve", "run_attacks",
 ]

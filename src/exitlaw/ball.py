@@ -38,11 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .exits import ExitBatch, points_of
-from .geometry import Ball, Domain, as_point
-
-#: Relative boundary tolerance for kernel query points.
-BOUNDARY_RTOL = 1e-9
+from .exits import ExitBatch
+from .geometry import BOUNDARY_RTOL, Ball, Domain
 
 #: sample_exact_batch refuses starts with rho/r beyond this; walk on
 #: spheres serves them.
@@ -58,48 +55,59 @@ MAX_PROPOSALS = 1_000_000
 #: ``kernel_normalization`` evaluates at once.
 _CHUNK = 1 << 19
 
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """A validated (ball, interior point, boundary point) kernel argument."""
-
-    ball: Ball
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        b = self.ball
-        x, _ = b.radial_point(self.x, "kernel point x")
-        y = as_point(self.y, b.dimension)
-        ydist = abs(float(np.linalg.norm(y - b.center)) - b.radius)
-        if ydist > BOUNDARY_RTOL * b.radius:
-            raise ValueError(f"kernel point y={y} is off the boundary by {ydist:.3g}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+#: Most nodes or draws ``kernel_normalization`` accepts, so one call
+#: ends within half a minute: the d = 2 rule converges long before it,
+#: and d >= 3 Monte Carlo is within ~1e-4 there.
+MAX_RESOLUTION = 10 ** 8
 
 
-def poisson_kernel(query: KernelQuery) -> float:
-    """Exit density at query.y for a walk started at query.x, per surface measure."""
-    b = query.ball
-    return float(_kernel_values(b, query.x, query.y[None, :])[0])
+def poisson_kernel(ball: Ball, x, ys) -> np.ndarray:
+    """Exit density at each row of ys for a walk started at x, per surface measure.
 
-
-def _kernel_values(ball: Ball, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Unvalidated vectorized kernel evaluation over rows of ys."""
-    d = ball.dimension
-    rho = float(np.linalg.norm(x - ball.center))
-    # Gamma(d/2) / (2 pi^(d/2) r) in logs: Gamma(d/2) alone overflows
-    # float64 from d = 344, the constant itself (r = 1) from d = 439
-    try:
-        const = math.exp(math.lgamma(d / 2) - d / 2 * math.log(math.pi)
-                         - math.log(2.0) - math.log(ball.radius))
-    except OverflowError:
-        raise ValueError(f"the kernel constant Gamma(d/2)/(2 pi^(d/2) r) overflows "
-                         f"float64 in d={d} at radius {ball.radius:g}") from None
-    numer = (ball.radius - rho) * (ball.radius + rho)
+    Raises ValueError unless x lies strictly inside the ball and every
+    row of the (m, d) array ys lies on the sphere to within
+    ``BOUNDARY_RTOL`` of the radius, and when a value exceeds float64.
+    For d >= 3 the value is formed in logs, so only a density beyond
+    float64 raises and one below it underflows to 0.
+    """
+    x, rho = ball.radial_point(x, "kernel point x")
+    d, r = ball.dimension, ball.radius
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[1] != d or not np.isfinite(ys).all():
+        raise ValueError(f"kernel points ys must be a finite (m, {d}) array, "
+                         f"got shape {ys.shape}")
+    v = ys - ball.center
+    sq = np.einsum("ij,ij->i", v, v)
+    # |y - c| within BOUNDARY_RTOL * r of r, tested on squares: no sqrt per row
+    if sq.size and not ((r - BOUNDARY_RTOL * r) ** 2 <= sq.min()
+                        and sq.max() <= (r + BOUNDARY_RTOL * r) ** 2):
+        off = np.abs(np.sqrt(sq) - r)
+        i = int(np.argmax(off))
+        raise ValueError(f"kernel point y={ys[i]} is off the boundary by {off[i]:.3g}")
     diff = ys - x
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return const * numer / dist ** d
+    # Gamma(d/2) / (2 pi^(d/2) r) in logs: Gamma(d/2) alone overflows
+    # float64 from d = 344, the constant itself (r = 1) from d = 439
+    log_const = math.lgamma(d / 2) - d / 2 * math.log(math.pi) - math.log(2.0) - math.log(r)
+    with np.errstate(over="ignore"):
+        if d <= 2:   # the direct form, which the d = 2 quadrature's digits rest on
+            values = math.exp(log_const) * ((r - rho) * (r + rho)) / dist ** d
+        else:
+            values = np.exp(log_const + math.log(r - rho) + math.log(r + rho)
+                            - d * np.log(dist))
+    if not np.isfinite(values).all():
+        raise ValueError(f"the Poisson kernel overflows float64 in d={d} at radius {r:g}")
+    return values
+
+
+def _circle_nodes(ball: Ball, angles: np.ndarray) -> np.ndarray:
+    """Points of a circle (d = 2) at the given angles, one row each."""
+    ys = np.empty((angles.shape[0], 2))
+    np.cos(angles, out=ys[:, 0])
+    np.sin(angles, out=ys[:, 1])
+    ys *= ball.radius
+    ys += ball.center
+    return ys
 
 
 def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float:
@@ -118,18 +126,20 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
 
     Both sums run in chunks of at most ``_CHUNK`` nodes or draws, so
     memory stays bounded at any resolution. Raises ValueError for a
-    resolution below 1 or a seed outside [0, 2^64) at any d, and for a
-    mass beyond float64.
+    resolution outside [1, MAX_RESOLUTION] or a seed outside [0, 2^64)
+    at any d, and for a mass beyond float64.
     """
     x, rho = ball.radial_point(x, "x")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most MAX_RESOLUTION = {MAX_RESOLUTION}, "
+                         f"got {resolution}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     d, r, c = ball.dimension, ball.radius, ball.center
     if d == 1:
-        ys = np.array([[c[0] - r], [c[0] + r]])
-        return float(_kernel_values(ball, x, ys).sum())
+        return float(poisson_kernel(ball, x, [[c[0] - r], [c[0] + r]]).sum())
     stream = np.zeros(1, dtype=np.uint64)
     total = 0.0
     done = 0
@@ -138,8 +148,7 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
         step = min(resolution - done, _CHUNK, max(1, (1 << 21) // d))
         if d == 2:
             ang = 2.0 * math.pi * np.arange(done, done + step) / resolution
-            ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            total += float(_kernel_values(ball, x, ys).sum())
+            total += float(poisson_kernel(ball, x, _circle_nodes(ball, ang)).sum())
         else:
             diff = c + r * rng.sphere_rows(seed, stream, done * d, d, rounds=step)[0] - x
             with np.errstate(over="ignore"):
@@ -284,14 +293,6 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     return ExitBatch(points, steps)
 
 
-def second_moment_identity_check(samples, theta) -> float:
-    """Empirical mean of |Y - theta|^2 — a consistent estimator of the trace."""
-    pts = points_of(samples)
-    theta = as_point(theta, pts.shape[1])
-    diff = pts - theta
-    return float(np.einsum("ij,ij->i", diff, diff).mean())
-
-
 def second_moment_quadrature(ball: Ball, theta, resolution: int = 4096) -> float:
     """Trapezoid quadrature of |y-theta|^2 K(theta,y) over the circle (d=2).
 
@@ -302,31 +303,8 @@ def second_moment_quadrature(ball: Ball, theta, resolution: int = 4096) -> float
     if ball.dimension != 2:
         raise ValueError("the quadrature identity check is a d=2 operation")
     theta = ball.interior_point(theta, "theta")
-    r, c = ball.radius, ball.center
-    ang = 2.0 * math.pi * np.arange(resolution) / resolution
-    ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    ys = _circle_nodes(ball, 2.0 * math.pi * np.arange(resolution) / resolution)
     diff = ys - theta
     sq = np.einsum("ij,ij->i", diff, diff)
-    vals = sq * _kernel_values(ball, theta, ys)
-    return float(vals.sum() * (2.0 * math.pi * r / resolution))
-
-
-def arc_probabilities(ball: Ball, x, n_arcs: int, nodes_per_arc: int = 64) -> np.ndarray:
-    """Exit probabilities of the n_arcs equal arcs of a circle (d=2).
-
-    Composite trapezoid rule inside each arc, renormalized to sum to
-    one so the result is usable directly as chi-square expectations.
-    """
-    if ball.dimension != 2:
-        raise ValueError("arc probabilities are a d=2 operation")
-    x = ball.interior_point(x, "x")
-    r, c = ball.radius, ball.center
-    width = 2.0 * math.pi / n_arcs
-    h = width / nodes_per_arc
-    probs = np.empty(n_arcs)
-    for k in range(n_arcs):
-        ang = k * width + h * np.arange(nodes_per_arc + 1)
-        ys = c + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        vals = _kernel_values(ball, x, ys) * r
-        probs[k] = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-    return probs / probs.sum()
+    vals = sq * poisson_kernel(ball, theta, ys)
+    return float(vals.sum() * (2.0 * math.pi * ball.radius / resolution))

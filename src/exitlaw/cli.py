@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample Brownian exit distributions and check them against closed forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, workers="parallel workers, never changes results"):
         p.add_argument("--seed", type=int, default=0,
                        help="run seed in [0, 2^64) (default %(default)s)")
         p.add_argument("--out", help="output path (default: <command>.<ext> "
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "text"], default="csv",
                        help="output format (default %(default)s)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers, never changes results (default %(default)s)")
+                       help=workers + " (default %(default)s)")
         p.add_argument("--config", help="JSON file preloading any flag; flags override it")
 
     def sampler_knobs(p):
@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="brownian timestep (default %(default)s)")
         p.add_argument("--epsilon", type=_real, default=wos.WosConfig.epsilon,
                        help="wos absorption shell (default 1e-6 x diameter)")
-        p.add_argument("--step-fraction", dest="step_fraction", type=_real,
-                       default=wos.WosConfig.step_fraction,
-                       help="wos hop radius fraction (default %(default)s)")
 
     p = sub.add_parser("table1", help="run the nine-setting reproduction table")
     common(p)
@@ -123,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="brownian exit extraction (default %(default)s)")
 
     p = sub.add_parser("kernel-check", help="verify the ball kernel integrates to 1")
-    common(p)
+    common(p, workers="unused: the quadrature runs on one thread")
     p.add_argument("--dim", type=int, default=2, help="dimension (default %(default)s)")
     p.add_argument("--rho", type=_real, default=0.5,
                    help="start distance from center (default %(default)s)")
@@ -212,7 +209,7 @@ def _config_flags(path: str, cmd: argparse.ArgumentParser) -> list[str]:
     if not isinstance(file_cfg, dict):
         cmd.error(f"config file {path} must hold a JSON object")
 
-    # a key is a flag name or its dest, with "-" or "_": "n", "n_samples", "step-fraction"
+    # a key is a flag name or its dest, with "-" or "_": "n", "n_samples", "exit-rule"
     known = {}
     for action in cmd._actions:
         for opt in action.option_strings:
@@ -303,7 +300,7 @@ def _sampler(ns: argparse.Namespace, method: str | None = None) -> driver.Sample
 
 def _run_table1(ns: argparse.Namespace) -> int:
     rows = stats.reproduce_table1(_sampler(ns), ns.n_samples, ns.seed, workers=ns.workers)
-    meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon", "step_fraction"))
+    meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon"))
     path = _write(ns, _render(SAMPLING_HEADER, _sampling_rows(rows), meta, ns.format))
     npass = sum(r.passed for r in rows)
     print(f"{npass}/{len(rows)} rows PASS ({path})")
@@ -316,8 +313,8 @@ def _run_sample(ns: argparse.Namespace) -> int:
     batch = driver.sample_exits(domain, ns.theta, sampler, ns.n_samples, ns.seed,
                                 workers=ns.workers)
     row = stats.compare(stats.summarize(batch), domain, ns.theta, sampler=sampler)
-    meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon", "step_fraction",
-                            "exit_rule", "dim", "center", "radius", "theta"))
+    meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon", "exit_rule",
+                            "dim", "center", "radius", "theta"))
     path = _write(ns, _render(SAMPLING_HEADER, _sampling_rows([row]), meta, ns.format))
     verdict = "PASS" if row.passed else "FAIL"
     print(f"mean {tuple(round(v, 6) for v in row.summary.mean.tolist())} "
@@ -349,8 +346,8 @@ def _run_privacy(ns: argparse.Namespace) -> int:
                                    workers=ns.workers)
     rows = [[p.trips, p.empirical_rmse, p.predicted_rmse, p.ratio] for p in points]
     grid_key = "trips_grid" if ns.trips_grid is not None else "trips"
-    meta = _meta_lines(ns, ("method", "dt", "epsilon", "step_fraction", "house",
-                            "center", "radius", grid_key, "replications"))
+    meta = _meta_lines(ns, ("method", "dt", "epsilon", "house", "center", "radius",
+                            grid_key, "replications"))
     path = _write(ns, _render(PRIVACY_HEADER, rows, meta, ns.format))
     last = points[-1]
     print(f"predicted_rmse {last.predicted_rmse:.6g} empirical_rmse "

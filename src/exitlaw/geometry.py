@@ -5,10 +5,9 @@ exactly what the exit samplers require. The operations work on (m, d)
 arrays of points, one row per walk, as the vectorized sampling kernels
 use them; each validates the array shape once, since silent
 broadcasting is the classic failure mode of dimension-generic geometry.
-``contains`` is the one single-point test and runs through
-``contains_many``; ``interior_point`` is the start-point check every
-sampler shares, and ``Ball.radial_point`` the one of the ball's closed
-forms, which also need the start's distance from the center.
+``interior_point`` is the start-point check every sampler shares, and
+``Ball.radial_point`` the one of the ball's closed forms, which also
+need the start's distance from the center.
 
 All operations are dimension-generic; nothing in this module special
 cases d.
@@ -20,6 +19,16 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Relative tolerance, in units of the radius, within which a point
+#: counts as on a ball's sphere: ``Ball._land_on_boundary`` places points
+#: no farther off, and the Poisson kernel accepts query points this close.
+BOUNDARY_RTOL = 1e-9
+
+#: Most nudges ``Ball._land_on_boundary`` makes to push a point off the
+#: open ball before it gives up. Each moves the point about one step of
+#: the float64 grid around the ball; Tier-1 never needs more than 3.
+MAX_NUDGES = 64
 
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
@@ -38,11 +47,6 @@ class Domain(abc.ABC):
     """A bounded open regular domain in R^d."""
 
     dimension: int
-
-    def contains(self, p) -> bool:
-        """True iff the point p lies strictly inside the open domain."""
-        q = as_point(p, self.dimension)
-        return bool(self.contains_many(q[None, :])[0])
 
     def interior_point(self, p, name: str = "start point") -> np.ndarray:
         """p as a point of this domain; a ValueError unless strictly inside."""
@@ -127,18 +131,35 @@ class Ball(Domain):
         the sphere, guaranteeing the result is NOT strictly inside.
 
         The rounded ``c + (r/rho) v`` can fall a last-bit inside the open
-        ball, which would make ``contains`` accept a "boundary" point;
-        nudge the scale up by ulps until the open-set test rejects it.
+        ball, which would make ``contains_many`` accept a "boundary"
+        point; nudge the scale up until the open-set test rejects it.
+        Each nudge moves the point about one step of the float64 grid
+        around the ball, spacing(max|c| + r): one ulp of the scale for a
+        ball centered at the origin, ~|c|/r ulps far from it, so a few
+        nudges do at any center. Raises RuntimeError when a point needs
+        a nudge on a grid coarser than ``BOUNDARY_RTOL`` of the radius,
+        which cannot hold it that close to the sphere, or after
+        ``MAX_NUDGES`` nudges.
         """
-        s = self.radius / rho
-        q = self.center + v * s[:, None]
-        while True:
+        r = self.radius
+        grid = float(np.spacing(np.abs(self.center).max() + r))
+        ulps = max(1.0, np.floor(grid / (r * np.spacing(1.0))))
+        coarse = grid > BOUNDARY_RTOL * r
+        s = r / rho
+        for _ in range(MAX_NUDGES + 1):
+            q = self.center + v * s[:, None]
             w = q - self.center
-            bad = np.einsum("ij,ij->i", w, w) < self.radius * self.radius
+            bad = np.einsum("ij,ij->i", w, w) < r * r
             if not bad.any():
                 return q
-            s = np.where(bad, np.nextafter(s, np.inf), s)
-            q = self.center + v * s[:, None]
+            if coarse:
+                break
+            s = np.where(bad, s + ulps * np.spacing(s), s)
+        why = (f"float64 points there are spaced {grid:.3g} apart, more than the "
+               f"{BOUNDARY_RTOL * r:.3g} a boundary point may lie off it" if coarse
+               else f"{MAX_NUDGES} nudges left them inside the open ball")
+        raise RuntimeError(f"cannot place {int(bad.sum())} point(s) on the sphere of center "
+                           f"{self.center} and radius {r:g}: {why}")
 
     def diameter(self) -> float:
         return 2.0 * self.radius

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import driver
-from .ball import theoretical_trace
+from .ball import theoretical_mean, theoretical_trace
 from .brownian import BrownianConfig
 from .exits import points_of
-from .geometry import Ball, Domain, as_point
+from .geometry import Ball, Domain
 from .wos import WosConfig
 
 #: PASS threshold on |z|.
@@ -101,7 +101,7 @@ def compare(summary: SummaryStats, domain: Domain, theta, *,
     ``sampler`` is the config that drew the sample; it fills the row's
     method, dt and epsilon cells.
     """
-    theta = as_point(theta, domain.dimension)
+    theta = theoretical_mean(domain, theta)
     if summary.mean.shape[0] != domain.dimension:
         raise ValueError(
             f"dimension mismatch: summary is {summary.mean.shape[0]}-dimensional, "

@@ -1,12 +1,13 @@
 """Walk on spheres: a timestep-free sampler of the exit distribution.
 
-From the current interior point, jump to a uniform point on the sphere
-of radius ``step_fraction * dist(Y, boundary)``; repeat until within the
-absorption shell (distance < epsilon), then project onto the boundary.
-Works on any supported domain. The half-distance default is the
-conservative construction; ``step_fraction=1.0`` (the largest inscribed
-sphere) samples the same boundary law in fewer hops and is available as
-a config knob.
+From the current interior point, hop to a uniform point on the largest
+inscribed sphere, whose radius is the distance to the boundary (Muller
+1956); repeat until within the absorption shell (distance < epsilon),
+then project onto the boundary. Each hop lands on the sphere that
+Brownian motion from the current point first meets, so the chain of hop
+points visits a subsequence of one Brownian path and the projected
+exit follows the harmonic measure up to the shell. Works on any
+supported domain.
 
 The projection at absorption displaces the exit point by less than
 epsilon, which at the default (1e-6 of the domain diameter) is far
@@ -30,20 +31,17 @@ MAX_HOPS = 1_000_000
 
 @dataclass(frozen=True)
 class WosConfig:
-    """Absorption shell width and hop radius fraction.
+    """Absorption shell width, the sampler's one knob.
 
     ``epsilon=None`` resolves to 1e-6 times the domain diameter at run
     time — relative, so the sampler's accuracy is scale invariant.
     """
 
     epsilon: float | None = None
-    step_fraction: float = 0.5
 
     def __post_init__(self):
         if self.epsilon is not None and not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0.0 < self.step_fraction <= 1.0):
-            raise ValueError(f"step_fraction must be in (0, 1], got {self.step_fraction}")
 
     def resolve_epsilon(self, domain: Domain) -> float:
         return self.epsilon if self.epsilon is not None else 1e-6 * domain.diameter()
@@ -66,7 +64,8 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
     """Walk-on-spheres exits for one stream per row of ``stream_ids``.
 
     Hop h of a stream reads its direction from Gaussian words
-    [h*d, (h+1)*d) of it.
+    [h*d, (h+1)*d) of it and moves the walk by its distance to the
+    boundary along that direction.
     """
     theta = domain.interior_point(theta)
     eps = cfg.resolve_epsilon(domain)
@@ -100,7 +99,7 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
             k = min(rng.lookahead_rounds(alive.size, d, hop), MAX_HOPS - hop)
             dirs = rng.sphere_rows(seed, ids[alive], hop * d, d, rounds=k)
             rows, first = np.arange(alive.size), hop
-        Y[alive] += (cfg.step_fraction * dist)[:, None] * dirs[rows, hop - first]
+        Y[alive] += dist[:, None] * dirs[rows, hop - first]
         hops[alive] += 1
         hop += 1
 

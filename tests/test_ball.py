@@ -9,11 +9,10 @@ from scipy import stats as sps
 
 from exitlaw import Ball
 from exitlaw import ball as ball_module
-from exitlaw.ball import (ExactConfig, KernelQuery, MaxProposalsExceeded, arc_probabilities,
-                          expected_exit_time, kernel_normalization,
-                          poisson_kernel, rejection_envelope, sample_exact_batch,
-                          second_moment_identity_check, second_moment_quadrature,
-                          theoretical_mean, theoretical_trace)
+from exitlaw.ball import (ExactConfig, MaxProposalsExceeded, expected_exit_time,
+                          kernel_normalization, poisson_kernel, rejection_envelope,
+                          sample_exact_batch, second_moment_quadrature, theoretical_mean,
+                          theoretical_trace)
 from exitlaw import rng
 from exitlaw.geometry import BoxDomain
 
@@ -26,9 +25,25 @@ def unit_ball(d):
 
 def center_kernel(d):
     """The kernel at the unit ball's centre, at a boundary point."""
-    y = np.zeros(d)
-    y[0] = 1.0
-    return poisson_kernel(KernelQuery(unit_ball(d), np.zeros(d), y))
+    y = np.zeros((1, d))
+    y[0, 0] = 1.0
+    return float(poisson_kernel(unit_ball(d), np.zeros(d), y)[0])
+
+
+def arc_probabilities(ball, x, n_arcs, nodes_per_arc=64):
+    """Exit probabilities of the n_arcs equal arcs of a circle (d = 2).
+
+    The chi-square reference: composite trapezoid rule inside each arc,
+    renormalized to sum to one.
+    """
+    width = 2.0 * math.pi / n_arcs
+    h = width / nodes_per_arc
+    probs = np.empty(n_arcs)
+    for k in range(n_arcs):
+        ys = ball_module._circle_nodes(ball, k * width + h * np.arange(nodes_per_arc + 1))
+        vals = poisson_kernel(ball, x, ys) * ball.radius
+        probs[k] = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    return probs / probs.sum()
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -48,27 +63,43 @@ def test_kernel_constant_at_large_dimension():
             center_kernel(d)
 
 
+def test_kernel_overflow_and_underflow_at_large_dimension():
+    # d = 400 near the boundary: ~1.4e393, beyond float64, is refused
+    x, y = np.zeros(400), np.zeros((1, 400))
+    x[0], y[0, 0] = 0.5, 1.0
+    with pytest.raises(ValueError, match="overflows float64 in d=400 "):
+        poisson_kernel(unit_ball(400), x, y)
+    # d = 1,500 on a radius-1000 ball: the constant alone overflows, the
+    # value underflows
+    y = np.zeros((1, 1500))
+    y[0, 0] = 1000.0
+    assert poisson_kernel(Ball(np.zeros(1500), 1000.0), np.zeros(1500), y)[0] == 0.0
+
+
 def test_kernel_hand_values():
     # center start: uniform over the boundary, 1/S
-    q = KernelQuery(unit_ball(2), np.zeros(2), np.array([1.0, 0.0]))
-    assert poisson_kernel(q) == pytest.approx(1 / (2 * math.pi), rel=1e-14)
-    q = KernelQuery(unit_ball(3), np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    assert poisson_kernel(q) == pytest.approx(1 / (4 * math.pi), rel=1e-14)
+    k = poisson_kernel(unit_ball(2), np.zeros(2), [[1.0, 0.0]])
+    assert k[0] == pytest.approx(1 / (2 * math.pi), rel=1e-14)
+    k = poisson_kernel(unit_ball(3), np.zeros(3), [[0.0, 0.0, 1.0]])
+    assert k[0] == pytest.approx(1 / (4 * math.pi), rel=1e-14)
     # off-center: mass piles up on the near side
-    q = KernelQuery(unit_ball(2), np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    assert poisson_kernel(q) == pytest.approx(3 / (2 * math.pi), rel=1e-14)
-    q = KernelQuery(unit_ball(2), np.array([0.5, 0.0]), np.array([-1.0, 0.0]))
-    assert poisson_kernel(q) == pytest.approx(1 / (6 * math.pi), rel=1e-14)
+    k = poisson_kernel(unit_ball(2), np.array([0.5, 0.0]), [[1.0, 0.0], [-1.0, 0.0]])
+    assert k[0] == pytest.approx(3 / (2 * math.pi), rel=1e-14)
+    assert k[1] == pytest.approx(1 / (6 * math.pi), rel=1e-14)
 
 
 def test_kernel_query_validation():
     b = unit_ball(2)
-    with pytest.raises(ValueError):
-        KernelQuery(b, np.array([1.0, 0.0]), np.array([1.0, 0.0]))   # x on boundary
-    with pytest.raises(ValueError):
-        KernelQuery(b, np.zeros(2), np.array([0.5, 0.0]))            # y interior
-    with pytest.raises(ValueError):
-        KernelQuery(b, np.zeros(2), np.array([1.0, 1.0]))            # y outside
+    on = [[1.0, 0.0]]
+    with pytest.raises(ValueError, match="kernel point x"):
+        poisson_kernel(b, np.array([1.0, 0.0]), on)                  # x on boundary
+    with pytest.raises(ValueError, match="off the boundary"):
+        poisson_kernel(b, np.zeros(2), [[1.0, 0.0], [0.5, 0.0]])     # a row interior
+    with pytest.raises(ValueError, match="off the boundary"):
+        poisson_kernel(b, np.zeros(2), [[1.0, 1.0]])                 # y outside
+    for ys in ([1.0, 0.0], [[1.0, 0.0, 0.0]], [[np.nan, 0.0]]):      # not finite (m, 2)
+        with pytest.raises(ValueError, match=r"finite \(m, 2\) array"):
+            poisson_kernel(b, np.zeros(2), ys)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.25, 0.5, 0.9])
@@ -116,6 +147,13 @@ def test_normalization_rejects_outside_point():
 def test_normalization_rejects_resolution_below_1(d, resolution):
     with pytest.raises(ValueError, match=f"resolution must be >= 1, got {resolution}"):
         kernel_normalization(unit_ball(d), np.zeros(d), resolution)
+
+
+def test_normalization_refuses_resolution_above_the_cap(monkeypatch):
+    monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="at most MAX_RESOLUTION = 100000000, got"):
+            kernel_normalization(unit_ball(d), np.zeros(d), ball_module.MAX_RESOLUTION + 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -364,7 +402,8 @@ def test_second_moment_identity_on_samples():
     th = np.array([0.5, 0.0])
     n = 50_000
     batch = sample_exact_batch(b, th, ExactConfig(), 4, np.arange(n, dtype=np.uint64))
-    w = second_moment_identity_check(batch, th)
+    # mean |Y - theta|^2 estimates the trace
+    w = float(np.sum((batch.points - th) ** 2, axis=1).mean())
     # SE of mean |Y-theta|^2 at this n, measured once and rounded up
     assert abs(w - 0.75) <= 4 * 0.004
 

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from exitlaw import ball, brownian, cli, driver, rng, wos
+from exitlaw import ball, brownian, cli, driver, rng
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
@@ -112,7 +112,6 @@ def library_case(argv, fragment, subject):
 @pytest.mark.parametrize("argv, fragment", [
     library_case("table1 --n 0", "need n >= 1 samples, got 0", "--n"),
     ("table1 --dt 0", "dt must be positive"),
-    ("table1 --step-fraction 1.5", "step_fraction must be in"),
     ("table1 --epsilon -1", "epsilon must be positive"),
     library_case("table1 --workers 0", "workers must be >= 1, got 0", "--workers"),
     ("sample --dim 0", "--dim"),
@@ -123,6 +122,9 @@ def library_case(argv, fragment, subject):
     library_case("kernel-check --rho 1.0", "x [1. 0.] is not strictly inside", "--rho"),
     library_case("kernel-check --resolution 0", "resolution must be >= 1, got 0",
                  "--resolution"),
+    library_case("kernel-check --resolution 1000000000000000",
+                 "resolution must be at most MAX_RESOLUTION = 100000000",
+                 "--resolution above the cap"),
     library_case("privacy --house 1.5,0", "house [1.5 0. ] is not strictly inside",
                  "house outside privacy region"),
     library_case("privacy --trips 0", "trips must be >= 1, got 0", "--trips"),
@@ -189,11 +191,11 @@ def test_config_file_preloads_flags_and_flags_override(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "seed": 7, "n": 250, "method": "exact",
-        "step-fraction": 0.7, "theta": [0.5, 0.0],
+        "exit-rule": "first-outside", "theta": [0.5, 0.0],
     }))
     cfg = parse_args(["sample", "--config", str(path)])
     assert (cfg.seed, cfg.n_samples, cfg.method) == (7, 250, "exact")
-    assert cfg.step_fraction == 0.7
+    assert cfg.exit_rule == "first-outside"
     assert cfg.theta == (0.5, 0.0)
 
     cfg = parse_args(["sample", "--config", str(path), "--seed", "3"])
@@ -253,12 +255,27 @@ def test_config_seed_outside_64_bits_exits_2(tmp_path, seed, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["n", "n_samples", "step-fraction", "step_fraction"])
+@pytest.mark.parametrize("key", ["n", "n_samples", "exit-rule", "exit_rule"])
 def test_config_keys_are_flag_names_or_dests(tmp_path, key):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({key: 1}))
-    ns = parse_args(["table1", "--config", str(path)])
-    assert ns.n_samples == 1 if key.startswith("n") else ns.step_fraction == 1.0
+    path.write_text(json.dumps({key: 1 if key.startswith("n") else "first-outside"}))
+    ns = parse_args(["sample", "--config", str(path)])
+    assert ns.n_samples == 1 if key.startswith("n") else ns.exit_rule == "first-outside"
+
+
+@pytest.mark.parametrize("command", ["table1", "sample", "privacy"])
+def test_step_fraction_is_no_flag_or_config_key(tmp_path, command, capsys):
+    # walk on spheres always hops to the largest inscribed sphere
+    with pytest.raises(SystemExit) as exc:
+        parse_args([command, "--step-fraction", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step-fraction" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"step_fraction": 0.5}))
+    with pytest.raises(SystemExit) as exc:
+        parse_args([command, "--config", str(path)])
+    assert exc.value.code == 2
+    assert "unknown config file key 'step_fraction'" in capsys.readouterr().err
 
 
 def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
@@ -298,7 +315,7 @@ def test_knobs_of_other_samplers_still_checked(capsys):
 # sampler flags against the registry
 # ---------------------------------------------------------------------------
 
-SAMPLER_FLAGS = ("--dt", "--epsilon", "--step-fraction", "--exit-rule")
+SAMPLER_FLAGS = ("--dt", "--epsilon", "--exit-rule")
 
 
 def subcommand_actions(name):
@@ -312,7 +329,7 @@ def subcommand_actions(name):
 def test_sampler_flags_match_the_registry(command):
     actions = subcommand_actions(command)
     assert tuple(actions["--method"].choices) == driver.METHODS
-    assert {"--dt", "--epsilon", "--step-fraction"} <= actions.keys()
+    assert {"--dt", "--epsilon"} <= actions.keys()
     knob_fields = {f.name for cls in driver.SAMPLERS.values() for f in dataclasses.fields(cls)}
     for flag in SAMPLER_FLAGS:
         if flag in actions:
@@ -328,20 +345,19 @@ def test_run_config_knobs_default_to_the_config_types():
                 if f.name in defaults:
                     assert defaults[f.name] == f.default, (command, cls.__name__, f.name)
                     knobs.add(f.name)
-    assert knobs == {"dt", "epsilon", "step_fraction", "exit_rule"}
+    assert knobs == {"dt", "epsilon", "exit_rule"}
 
 
 SHOWN_DEFAULTS = {"--dt": brownian.BrownianConfig.dt,
-                  "--step-fraction": wos.WosConfig.step_fraction,
                   "--exit-rule": brownian.BrownianConfig.exit_rule}
 
 
 @pytest.mark.parametrize("argv, flags", [
     ([], ()),
-    (["table1"], ("--dt", "--step-fraction")),
-    (["sample"], ("--dt", "--step-fraction", "--exit-rule")),
+    (["table1"], ("--dt",)),
+    (["sample"], ("--dt", "--exit-rule")),
     (["kernel-check"], ()),
-    (["privacy"], ("--dt", "--step-fraction")),
+    (["privacy"], ("--dt",)),
 ])
 def test_help_exits_0(argv, flags, capsys):
     # argparse formats a help string only when it prints it
@@ -585,6 +601,26 @@ def test_sphere_redraw_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: stream 0: ") and err.count("\n") == 1
     assert f"after {rng.MAX_REDRAWS} redraw attempts" in err
+
+
+def test_far_center_coarse_grid_exits_2_with_one_line(tmp_path, capsys):
+    # near 1e12 float64 cannot place an absorbed walk's exit near the sphere
+    out = tmp_path / "s.csv"
+    argv = ("sample --method wos --center 1000000000000,0 --radius 1 "
+            "--theta 1000000000000,0.5 --n 20").split()
+    assert exit_status(argv, out) == 2
+    assert_one_line_error(capsys.readouterr().err, "float64 points there are spaced")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", ["--method wos", "--method brownian --dt 1e-3 "
+                                   "--exit-rule first-outside"])
+def test_off_origin_ball_samples(tmp_path, extra):
+    # |c|/r = 1000: every exit needs the grid-sized nudge to land
+    out = tmp_path / "s.csv"
+    argv = f"sample {extra} --center 1000,0 --radius 1 --theta 1000.5,0 --n 200".split()
+    assert exit_status(argv, out) == 0
+    assert out.read_text().splitlines()[-1].endswith(",PASS")
 
 
 def test_identical_bytes_across_worker_counts(tmp_path):

@@ -88,21 +88,21 @@ def test_registry_maps_each_method_to_one_config_type():
     assert ExactConfig() == ExactConfig()
     # each config type holds only the knobs a user sets
     names = {m: {f.name for f in dataclasses.fields(cls)} for m, cls in driver.SAMPLERS.items()}
-    assert names == {"brownian": {"dt", "exit_rule"}, "wos": {"epsilon", "step_fraction"},
+    assert names == {"brownian": {"dt", "exit_rule"}, "wos": {"epsilon"},
                      "exact": set()}
 
 
 def test_sampler_config_takes_each_method_its_own_knobs():
-    knobs = dict(dt=1e-3, exit_rule="first-outside", epsilon=1e-5, step_fraction=0.9)
+    knobs = dict(dt=1e-3, exit_rule="first-outside", epsilon=1e-5)
     assert driver.sampler_config("brownian", **knobs) == BrownianConfig(
         dt=1e-3, exit_rule="first-outside")
-    assert driver.sampler_config("wos", **knobs) == WosConfig(epsilon=1e-5, step_fraction=0.9)
+    assert driver.sampler_config("wos", **knobs) == WosConfig(epsilon=1e-5)
     assert driver.sampler_config("exact", **knobs) == ExactConfig()
     assert driver.sampler_config("wos") == WosConfig()
     with pytest.raises(ValueError, match=r"method must be one of \('brownian', 'wos', 'exact'\)"):
         driver.sampler_config("teleport")
-    with pytest.raises(ValueError, match="step_fraction"):
-        driver.sampler_config("wos", step_fraction=1.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        driver.sampler_config("wos", epsilon=-1.0)
 
 
 def test_dispatch_tags_and_clock_presence():

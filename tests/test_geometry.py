@@ -17,9 +17,9 @@ def unit_ball(d):
 
 def test_ball_contains():
     b = unit_ball(2)
-    assert b.contains((0.0, 0.0))
-    assert not b.contains((1.0, 0.0))   # boundary point not in the open set
-    assert not b.contains((2.0, 0.0))
+    # the boundary point (1, 0) is not in the open set
+    assert b.contains_many(rows((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))).tolist() == [
+        True, False, False]
 
 
 def test_radial_point_returns_rho_or_names_the_point():
@@ -47,9 +47,8 @@ def test_interior_point_coerces_or_names_the_point():
 
 def test_box_contains():
     box = BoxDomain((0.0, 0.0), (2.0, 1.0))
-    assert box.contains((1.0, 0.5))
-    assert not box.contains((0.0, 0.5))
-    assert not box.contains((1.0, 1.0))
+    assert box.contains_many(rows((1.0, 0.5), (0.0, 0.5), (1.0, 1.0))).tolist() == [
+        True, False, False]
 
 
 def rows(*pts):
@@ -96,6 +95,31 @@ def test_ball_center_projection_is_deterministic():
     assert np.allclose(b.project_to_boundary_many(rows((0.0, 0.0))), [(1.0, 0.0)])
 
 
+def test_projection_far_from_origin_refuses_a_too_coarse_grid():
+    # near 1e12 float64 points lie 2^-13 apart, far coarser than the
+    # BOUNDARY_RTOL a projected point may lie off the unit sphere
+    b = Ball(np.array([1e12, 0.0]), 1.0)
+    p = b.center + np.array([127.0, 8191.0]) * 2.0 ** -13
+    assert b.contains_many(p[None, :])[0]
+    with pytest.raises(RuntimeError, match=r"center \[1\.e\+12 0\.e\+00\] and radius 1: "
+                                           r"float64 points there are spaced 0\.000122 apart"):
+        b.project_to_boundary_many(p[None, :])
+
+
+@pytest.mark.parametrize("cx", [1000.0, 1e6])
+def test_projection_off_origin_lands_on_the_sphere(cx):
+    # one-ulp nudges of the radial scale would need ~|c|/(2r) of them here;
+    # each nudge steps the float64 grid around the ball, so a few do
+    b = Ball(np.array([cx, 0.0]), 1.0)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((20_000, 2))
+    v *= (rng.uniform(0.5, 1.0 - 1e-6, 20_000) / np.linalg.norm(v, axis=1))[:, None]
+    for proj in (b.project_to_boundary_many, b.project_outside_many):
+        q = proj(b.center + v)
+        assert not b.contains_many(q).any()
+        assert np.abs(np.linalg.norm(q - b.center, axis=1) - 1.0).max() <= 1e-9
+
+
 def test_crossing_examples():
     b = unit_ball(2)
     pts, t = b.crossing_many(rows((0, 0), (0.6, 0.0)), rows((2, 0), (0.6, 1.2)))
@@ -109,7 +133,7 @@ def test_crossing_examples():
 def test_dimension_mismatch_raises():
     b = unit_ball(3)
     with pytest.raises(ValueError):
-        b.contains((0.0, 0.0))
+        b.contains_many(rows((0.0, 0.0)))
     with pytest.raises(ValueError):
         as_point((1.0, float("nan")))
 
@@ -175,7 +199,7 @@ def test_projection_lands_on_ball_boundary(d, data):
     p = random_interior(u, ball)
     q = ball.project_to_boundary_many(p[None, :])[0]
     assert abs(np.linalg.norm(q - ball.center) - ball.radius) <= 1e-12 * ball.radius
-    assert not ball.contains(q)
+    assert not ball.contains_many(q[None, :])[0]
     dist = ball.distance_to_boundary_many(p[None, :])[0]
     assert np.linalg.norm(q - p) == pytest.approx(dist, abs=1e-12)
 
@@ -190,7 +214,7 @@ def test_projection_lands_on_box_boundary(d, data):
     q = box.project_to_boundary_many(p[None, :])[0]
     on_face = np.any((np.abs(q - box.lower) == 0) | (np.abs(q - box.upper) == 0))
     assert on_face
-    assert not box.contains(q)
+    assert not box.contains_many(q[None, :])[0]
     dist = box.distance_to_boundary_many(p[None, :])[0]
     assert np.linalg.norm(q - p) == pytest.approx(dist, abs=1e-12)
 
@@ -245,7 +269,7 @@ def test_batch_ops_match_scalar(d):
         for i in range(32):
             assert dist_b[i] == domain.distance_to_boundary_many(pts[i:i + 1])[0]
             assert np.array_equal(proj_b[i], domain.project_to_boundary_many(pts[i:i + 1])[0])
-            assert domain.contains(pts[i])
+            assert domain.contains_many(pts[i:i + 1])[0]
         assert domain.contains_many(pts).all()
         assert not domain.exited_many(pts).any()
 

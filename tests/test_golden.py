@@ -25,8 +25,7 @@ CASES = {
                           "--n 30 --dt 1e-3 --workers 2 --seed 4",
     "sample_brownian_first_outside": "sample --method brownian --dim 2 --theta 0.6,0 "
                                      "--n 40 --dt 1e-3 --exit-rule first-outside --seed 4",
-    "sample_wos": "sample --method wos --dim 2 --theta 0.5,0.1 --n 300 "
-                  "--step-fraction 1.0 --seed 4",
+    "sample_wos": "sample --method wos --dim 2 --theta 0.5,0.1 --n 300 --seed 4",
     "sample_exact": "sample --method exact --dim 4 --theta 0.7,0,0,0 --n 300 --seed 4",
     "kernel_check_d3": "kernel-check --dim 3 --rho 0.2 --resolution 20000 --seed 5",
     "kernel_check_d2": "kernel-check --dim 2 --rho 0.5 --resolution 512",

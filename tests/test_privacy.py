@@ -240,7 +240,7 @@ def test_privacy_curve_checks_every_cell_before_sampling(monkeypatch):
 def test_privacy_curve_cells_keep_the_scenario_sampler():
     # cell g is the scenario at that trip count, sampled by the same
     # config (not a default one) on stream context g
-    scn = disk_scenario([0.5, 0.0], 10, sampler=WosConfig(step_fraction=0.9))
+    scn = disk_scenario([0.5, 0.0], 10, sampler=WosConfig(epsilon=1e-4))
     points = privacy_curve(scn, trips_grid=(7, 12), replications=4, seed=3)
     for g, trips in enumerate((7, 12)):
         cell = dataclasses.replace(scn, trips=trips)
