@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rng
 from .exits import ExitBatch
-from .geometry import BOUNDARY_RTOL, Ball, Domain
+from .geometry import BOUNDARY_RTOL, Ball, Domain, start_runs
 
 #: sample_exact_batch refuses starts with rho/r beyond this; walk on
 #: spheres serves them.
@@ -212,7 +212,14 @@ class MaxProposalsExceeded(RuntimeError):
             f"per sample). Use the walk-on-spheres sampler for this start.")
 
 
-def _check_exact_start(ball: Ball, theta) -> tuple[np.ndarray, float]:
+def _exact_start(ball: Ball, theta) -> tuple[np.ndarray, float, float, float]:
+    """(a, power, peak, envelope) of one start of the exact sampler.
+
+    a = (theta - c)/r is the start in unit coordinates, power = 1 -
+    (rho/r)^2, and peak the |u + a| at which the accept ratio peaks
+    (see ``sample_exact_batch``). Raises ValueError for a start closer
+    to the boundary than MAX_RHO_FRACTION allows.
+    """
     theta, rho = ball.radial_point(theta, "theta")
     if rho / ball.radius > MAX_RHO_FRACTION:
         raise ValueError(
@@ -220,7 +227,10 @@ def _check_exact_start(ball: Ball, theta) -> tuple[np.ndarray, float]:
             f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
             f"M = {rejection_envelope(ball, theta):.3g} proposals per sample). "
             f"Use the walk-on-spheres sampler for near-boundary starts.")
-    return theta, rho
+    r = ball.radius
+    gap = (r - rho) / r                                   # 1 - rho/r
+    peak = gap if ball.dimension >= 2 else 2.0 - gap
+    return (theta - ball.center) / r, gap * (2.0 - gap), peak, rejection_envelope(ball, theta)
 
 
 @dataclass(frozen=True)
@@ -232,6 +242,8 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
                        stream_ids) -> ExitBatch:
     """Exact exit samples by Moebius-proposal rejection, one stream per row.
 
+    theta is one start for every stream or an (m, d) array of one start
+    per stream; the constants of each distinct start are computed once.
     Proposal t of a stream maps the uniform direction u read from its
     Gaussian words [t*d, (t+1)*d) to y (module docstring) and accepts y
     when uniform word t is below (|u + a| / peak)^(2-d), with peak =
@@ -243,46 +255,54 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     sample consumed, a Geometric(1/M) count whose mean estimates
     ``rejection_envelope``. Accepted points are renormalized onto the
     sphere, which the map alone misses by rounding that grows as the
-    start nears the boundary. Raises MaxProposalsExceeded when M or a
-    sample's proposals exceed MAX_PROPOSALS, and ValueError on a domain
-    that is not a Ball.
+    start nears the boundary. Raises MaxProposalsExceeded when a start's
+    M or a sample's proposals exceed MAX_PROPOSALS, and ValueError on a
+    domain that is not a Ball.
     """
     if not isinstance(ball, Ball):
         raise ValueError("the exact sampler is defined for balls only")
-    theta, rho = _check_exact_start(ball, theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], ball.dimension
     r, c = ball.radius, ball.center
-    a = (theta - c) / r
-    gap = (r - rho) / r                                   # 1 - rho/r
-    power = gap * (2.0 - gap)                             # 1 - (rho/r)^2
-    peak = gap if d >= 2 else 2.0 - gap
-    envelope = rejection_envelope(ball, theta)
-    if envelope > MAX_PROPOSALS:
-        raise MaxProposalsExceeded(0, envelope, ids)
+    firsts, counts = start_runs(theta, m)
+    consts = [_exact_start(ball, p) for p in firsts]
+    ends = np.cumsum(counts)
+    for (*_, envelope), lo, hi in zip(consts, ends - counts, ends):
+        if envelope > MAX_PROPOSALS:
+            raise MaxProposalsExceeded(0, envelope, ids[lo:hi])
+    # (a, power, peak, envelope) of each run of equal starts, one row each
+    table = np.array([(*a, *rest) for a, *rest in consts])
 
     points = np.empty((m, d))
     steps = np.empty(m, dtype=np.int64)
     alive = np.arange(m)
     t = 0
     while alive.size:
+        live = alive.size
+        # the constants of each live stream, one row each: runs are
+        # contiguous and alive is sorted, so run j's live streams are a
+        # block of alive. One start keeps its one row, which broadcasts.
+        if len(table) == 1:
+            here = table
+        else:
+            here = np.repeat(table, np.diff(np.searchsorted(alive, ends), prepend=0), axis=0)
         if t >= MAX_PROPOSALS:
-            raise MaxProposalsExceeded(t, envelope, ids[alive])
+            raise MaxProposalsExceeded(t, here[:, d + 2].max(), ids[alive])
         # Proposals [t, t + K) of every live stream from one request each
         # for the Gaussian and uniform words; a row keeps its first accept.
-        live = alive.size
         k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
-        v = rng.sphere_rows(seed, ids[alive], t * d, d, rounds=k).reshape(-1, d) + a
+        v = rng.sphere_rows(seed, ids[alive], t * d, d, rounds=k) + here[:, None, :d]
+        v = v.reshape(-1, d)
         s2 = np.einsum("ij,ij->i", v, v)
-        accept_p = (np.sqrt(s2) / peak) ** (2 - d)
-        u = rng.uniform_values(seed, ids[alive], t, k)
-        acc = (u.reshape(-1) < accept_p).reshape(live, k)
+        accept_p = (np.sqrt(s2).reshape(live, k) / here[:, d + 1, None]) ** (2 - d)
+        acc = rng.uniform_values(seed, ids[alive], t, k) < accept_p
         hit = acc.any(axis=1)
         if hit.any():
             rows = np.flatnonzero(hit)
             j = np.argmax(acc[rows], axis=1)
             pick = rows * k + j
-            y = a + v[pick] * (power / s2[pick])[:, None]
+            at = here if len(here) == 1 else here[rows]
+            y = at[:, :d] + v[pick] * (at[:, d] / s2[pick])[:, None]
             y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
             idx = alive[rows]
             points[idx] = c + r * y

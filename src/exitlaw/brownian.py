@@ -23,8 +23,10 @@ memory; on the ``table1`` brownian run 512 and 2,048 words measured no
 faster than 1,024 (CHANGES.md has the sweep). The Gaussian output is the
 path buffer, scaled and summed in place, so a block holds a few arrays
 of ``live x 1,024`` values whatever the walk length. The kernel walks
-at most ``_GROUP_STREAMS`` = 2,048 streams at a time, which holds those
-arrays near 2^21 values (16 MB) each however many samples are asked for.
+at most ``_GROUP_STREAMS`` = 256 streams at a time, which holds those
+arrays near 2^18 values (2 MB) each however many samples or starts are
+asked for; on the ``table1`` brownian runs wider groups saved no time
+and raised the peak resident memory (CHANGES.md has the figures).
 
 A walk that reaches ``ceil(100 D^2 / dt)`` steps in a domain of diameter
 D raises MaxStepsExceeded rather than being truncated, which would bias
@@ -51,8 +53,8 @@ EXIT_RULES = ("interpolate", "first-outside")
 # Philox words per stream per block (see the module docstring).
 _BLOCK_WORDS = 4 * philox.NARROW_WORDS
 
-# Streams walked at a time: a block then holds at most 2^21 words.
-_GROUP_STREAMS = (1 << 21) // _BLOCK_WORDS
+# Streams walked at a time: a block then holds at most 2^18 words.
+_GROUP_STREAMS = (1 << 18) // _BLOCK_WORDS
 
 
 @dataclass(frozen=True)
@@ -101,17 +103,18 @@ class MaxStepsExceeded(RuntimeError):
 
 def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
                         stream_ids) -> ExitBatch:
-    """Exit samples for one stream per row of ``stream_ids``, all started at theta.
+    """Exit samples for one stream per row of ``stream_ids``.
 
-    Step k of a stream reads Gaussian words [k*d, (k+1)*d) of it. The
-    streams are walked in groups of at most ``_GROUP_STREAMS``; a walk
-    never depends on the others, so the grouping changes no bit. Raises
-    MaxStepsExceeded, carrying the pending walks of the group, when a
-    walk reaches the step cap.
+    theta is one start for every stream or an (m, d) array of one start
+    per stream. Step k of a stream reads Gaussian words [k*d, (k+1)*d)
+    of it. The streams are walked in groups of at most
+    ``_GROUP_STREAMS``; a walk never depends on the others, so the
+    grouping changes no bit. Raises MaxStepsExceeded, carrying the
+    pending walks of the group, when a walk reaches the step cap.
     """
-    theta = domain.interior_point(theta)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], domain.dimension
+    starts = domain.interior_rows(theta, m)
     step_cap = cfg.resolve_max_steps(domain)
 
     points = np.empty((m, d))
@@ -119,18 +122,18 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     steps = np.empty(m, dtype=np.int64)
     for lo in range(0, m, _GROUP_STREAMS):
         group = slice(lo, lo + _GROUP_STREAMS)
-        _walk(domain, theta, cfg, seed, ids[group], step_cap,
+        _walk(domain, starts[group], cfg, seed, ids[group], step_cap,
               points[group], steps[group], times[group])
     return ExitBatch(points, steps, times)
 
 
-def _walk(domain: Domain, theta: np.ndarray, cfg: BrownianConfig, seed: int,
+def _walk(domain: Domain, X: np.ndarray, cfg: BrownianConfig, seed: int,
           ids: np.ndarray, step_cap: int, points, steps, times) -> None:
-    """Walk the streams ``ids`` to their exits, filling points, steps and times."""
+    """Walk the streams ``ids`` from the rows of X to their exits, filling
+    points, steps and times; X holds the current positions."""
     m, d = ids.shape[0], domain.dimension
     sqdt = math.sqrt(cfg.dt)
     block = -(-_BLOCK_WORDS // d)
-    X = np.tile(theta, (m, 1))
     alive = np.arange(m)
     done_steps = 0
     g_next = 0

@@ -4,26 +4,30 @@ Each sampler is named by a method and configured by one frozen config
 type: ``SAMPLERS`` maps ``brownian`` to ``BrownianConfig``, ``wos`` to
 ``WosConfig`` and ``exact`` to the knob-free ``ExactConfig``. Every
 batch kernel is called as ``kernel(domain, theta, cfg, seed,
-stream_ids)``; ``sample_exits`` takes a config and runs the kernel of
-its type; ``sampler_config`` builds the config of a named method from
-the command line's knobs.
+stream_ids)``, with theta one start for every stream or one row per
+stream; ``sample_exits`` takes a config and runs the kernel of its
+type; ``sampler_config`` builds the config of a named method from the
+command line's knobs.
 
 Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
-disjoint id block under the run seed. Worker parallelism splits the
-sample-index axis into contiguous chunks, one per thread, with no more
-threads than samples or CPUs; each chunk is an independent
-batch over its own per-sample streams, and results are reassembled in
-index order — so the output is a pure function of (seed, context, n)
-and worker count can never change a byte.
+disjoint id block under the run seed. ``sample_exits`` serves k starts
+on one domain in one lockstep batch, one context per start, so a
+kernel pays its per-round cost once for all of them. Worker parallelism
+splits the batch's rows into contiguous chunks, one per thread, with no
+more threads than rows or CPUs; each chunk is an independent batch over
+its own per-sample streams and starts, and results are reassembled in
+row order — so the output is a pure function of (seed, contexts, n) and
+neither the worker count nor the grouping of starts into calls can
+change a byte.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
-from functools import partial
 
 import numpy as np
 
@@ -81,22 +85,40 @@ def stream_block(context: int, n: int) -> np.ndarray:
 
 
 def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
-                 context: int = 0, workers: int = 1) -> ExitBatch:
-    """Draw n exit samples with the given sampler config, one stream per sample."""
+                 context: int | Sequence[int] = 0, workers: int = 1) -> ExitBatch:
+    """Draw n exit samples per start with the given sampler config.
+
+    theta is one start (d,) with one ``context``, or k starts (k, d) with
+    a length-k sequence of contexts. Start i draws sample j from stream
+    j of context i. The batch holds k*n rows ordered by start, so rows
+    [i*n, (i+1)*n) are start i's, byte-equal to a one-start call.
+    """
     method_of(sampler)  # a ValueError unless a sampler config
     module, name = _KERNELS[type(sampler)]
-    kernel = partial(getattr(module, name), domain, theta, sampler, seed)
+    kernel = getattr(module, name)
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    ids = stream_block(context, n)
+    starts = np.asarray(theta, dtype=np.float64)
+    multi = starts.ndim == 2
+    if np.ndim(context) != multi or multi and len(context) != starts.shape[0]:
+        raise ValueError("need one context per start: an int for one (d,) start, a "
+                         f"sequence of k for k (k, d) starts; got context {context!r} "
+                         f"for starts of shape {starts.shape}")
+    if multi:
+        ids = np.concatenate([stream_block(int(c), n) for c in context])
+        starts = np.repeat(np.ascontiguousarray(starts), n, axis=0)
+    else:
+        ids = stream_block(context, n)
 
-    threads = min(workers, n, os.cpu_count() or 1)
+    threads = min(workers, ids.size, os.cpu_count() or 1)
     if threads <= 1:
-        return kernel(ids)
+        return kernel(domain, starts, sampler, seed, ids)
+    starts_parts = np.array_split(starts, threads) if multi else [starts] * threads
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(kernel, np.array_split(ids, threads)))
+        parts = list(pool.map(lambda s, i: kernel(domain, s, sampler, seed, i),
+                              starts_parts, np.array_split(ids, threads)))
     times = (np.concatenate([p.exit_times for p in parts])
              if parts[0].exit_times is not None else None)
     return ExitBatch(np.concatenate([p.points for p in parts]),

@@ -9,12 +9,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ExitBatch:
-    """A batch of exits from one sampler run, one row per sample index.
+    """A batch of exits from one sampler run, one row per stream.
 
-    ``points`` is (n, d); ``steps`` is (n,), the sampler's work count:
-    timesteps (brownian), sphere hops (wos) or proposals (exact);
-    ``exit_times`` is (n,) from the brownian sampler, the only one with a
-    clock, and None from the others.
+    A driver call of k starts with n samples each returns k*n rows
+    ordered by start: rows [i*n, (i+1)*n) are start i's, sample index
+    order within. ``points`` is (k*n, d); ``steps`` is (k*n,), the
+    sampler's work count: timesteps (brownian), sphere hops (wos) or
+    proposals (exact); ``exit_times`` is (k*n,) from the brownian
+    sampler, the only one with a clock, and None from the others.
     """
 
     points: np.ndarray

@@ -7,7 +7,9 @@ use them; each validates the array shape once, since silent
 broadcasting is the classic failure mode of dimension-generic geometry.
 ``interior_point`` is the start-point check every sampler shares, and
 ``Ball.radial_point`` the one of the ball's closed forms, which also
-need the start's distance from the center.
+need the start's distance from the center. A batch kernel takes one
+start per stream; ``start_runs`` splits its starts into runs of equal
+rows, so each distinct start is checked once on the scalar path.
 
 All operations are dimension-generic; nothing in this module special
 cases d.
@@ -43,6 +45,26 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     return q
 
 
+def start_runs(theta, m: int) -> tuple[list, np.ndarray]:
+    """The starts of m streams as runs of equal consecutive rows.
+
+    theta is one point for every stream or an (m, d) array whose row i
+    is the start of stream i. Returns the first row of each run and the
+    run lengths, which sum to m; rows are compared bit for bit. Rows are
+    not checked here: each caller checks the distinct starts it gets.
+    """
+    rows = np.array(theta, dtype=np.float64, order="C")
+    if rows.ndim < 2:
+        return [rows], np.array([m])
+    if rows.ndim != 2 or rows.shape[0] != m:
+        raise ValueError(f"starts must be one point or one row per stream, (m, d) = "
+                         f"({m}, d), got shape {rows.shape}")
+    bits = rows.view(np.uint64)
+    new = np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1)))
+    first = np.flatnonzero(new[:m])
+    return list(rows[first]), np.diff(np.append(first, m))
+
+
 class Domain(abc.ABC):
     """A bounded open regular domain in R^d."""
 
@@ -54,6 +76,16 @@ class Domain(abc.ABC):
         if not self.contains_many(q[None, :])[0]:
             raise ValueError(f"{name} {q} is not strictly inside the domain")
         return q
+
+    def interior_rows(self, theta, m: int) -> np.ndarray:
+        """One start per stream as a C-ordered (m, d) array, each checked.
+
+        theta is one point or an (m, d) array (see ``start_runs``); every
+        distinct start passes ``interior_point`` once.
+        """
+        firsts, counts = start_runs(theta, m)
+        checked = np.array([self.interior_point(p) for p in firsts])
+        return np.repeat(checked.reshape(-1, self.dimension), counts, axis=0)
 
     @abc.abstractmethod
     def diameter(self) -> float:
@@ -272,7 +304,8 @@ class BoxDomain(Domain):
         a = self._check_batch(inside)
         b = self._check_batch(outside)
         v = b - a
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a near-zero component overflows to inf, which loses the min
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_exit = np.where(
                 v > 0, (self.upper - a) / v,
                 np.where(v < 0, (self.lower - a) / v, np.inf))

@@ -13,6 +13,12 @@ The projection at absorption displaces the exit point by less than
 epsilon, which at the default (1e-6 of the domain diameter) is far
 below statistical noise at any sample size used here. A walk still
 outside the shell after ``MAX_HOPS`` hops raises MaxHopsExceeded.
+
+The batch kernel hops all live walks in lockstep, whatever their
+starts, so a batch of several starts pays each round's Python cost
+once. It keeps the live walks compacted: an absorbed walk's row leaves
+the position, distance and lookahead-direction arrays in the round it
+is absorbed, so no round gathers live rows out of the full batch.
 """
 
 from __future__ import annotations
@@ -63,45 +69,48 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
                    stream_ids) -> ExitBatch:
     """Walk-on-spheres exits for one stream per row of ``stream_ids``.
 
-    Hop h of a stream reads its direction from Gaussian words
-    [h*d, (h+1)*d) of it and moves the walk by its distance to the
-    boundary along that direction.
+    theta is one start for every stream or an (m, d) array of one start
+    per stream. Hop h of a stream reads its direction from Gaussian
+    words [h*d, (h+1)*d) of it and moves the walk by its distance to the
+    boundary along that direction. The live walks are kept compacted:
+    an absorbed walk leaves the position, distance and direction arrays,
+    and all absorbed points are projected onto the boundary at the end.
     """
-    theta = domain.interior_point(theta)
     eps = cfg.resolve_epsilon(domain)
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], domain.dimension
+    Y = domain.interior_rows(theta, m)
 
-    points = np.empty((m, d))
-    hops = np.zeros(m, dtype=np.int64)
-    Y = np.tile(theta, (m, 1))
-    alive = np.arange(m)
+    hops = np.empty(m, dtype=np.int64)
+    live = np.arange(m)        # batch row of each live walk
+    done, last = [], []        # batch rows and last positions of absorbed walks
     hop = 0
-    # Directions of hops [first, first + K) for the streams alive at
-    # `first`, one request per window; `rows` maps alive -> window rows.
-    dirs, rows, first = np.empty((m, 0, d)), np.arange(m), 0
+    # Directions of hops [first, first + K) of the live walks, one request
+    # per window.
+    dirs, first = np.empty((m, 0, d)), 0
 
-    while alive.size:
-        dist = domain.distance_to_boundary_many(Y[alive])
+    while live.size:
+        dist = domain.distance_to_boundary_many(Y)
         absorbed = dist < eps
         if absorbed.any():
-            idx = alive[absorbed]
-            points[idx] = domain.project_to_boundary_many(Y[idx])
+            done.append(live[absorbed])
+            last.append(Y[absorbed])
+            hops[done[-1]] = hop
             keep = ~absorbed
-            alive = alive[keep]
-            dist = dist[keep]
-            rows = rows[keep]
-            if not alive.size:
+            live, Y, dist = live[keep], Y[keep], dist[keep]
+            if not live.size:
                 break
+            dirs, first = dirs[keep, hop - first:], hop
         if hop >= MAX_HOPS:
-            raise MaxHopsExceeded(hop, ids[alive], Y[alive])
+            raise MaxHopsExceeded(hop, ids[live], Y)
         if hop == first + dirs.shape[1]:
-            k = min(rng.lookahead_rounds(alive.size, d, hop), MAX_HOPS - hop)
-            dirs = rng.sphere_rows(seed, ids[alive], hop * d, d, rounds=k)
-            rows, first = np.arange(alive.size), hop
-        Y[alive] += dist[:, None] * dirs[rows, hop - first]
-        hops[alive] += 1
+            k = min(rng.lookahead_rounds(live.size, d, hop), MAX_HOPS - hop)
+            dirs = rng.sphere_rows(seed, ids[live], hop * d, d, rounds=k)
+            first = hop
+        Y += dist[:, None] * dirs[:, hop - first]
         hop += 1
 
+    points = np.empty((m, d))
+    if done:
+        points[np.concatenate(done)] = domain.project_to_boundary_many(np.concatenate(last))
     return ExitBatch(points, hops)
-

@@ -92,8 +92,8 @@ def test_max_steps_cap_off_the_block_edge(monkeypatch):
 
 
 def test_block_memory_stays_small():
-    # numpy reports its buffers to tracemalloc; 500 streams at d=2 hold a
-    # few live x 1,024 arrays per block, about 15 MB
+    # numpy reports its buffers to tracemalloc; 500 streams at d=2, walked
+    # in groups of 256, hold a few live x 1,024 arrays per block, about 8 MB
     ball = Ball(np.zeros(2), 1.0)
     tracemalloc.start()
     try:

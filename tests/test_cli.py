@@ -12,6 +12,9 @@ import argparse
 import dataclasses
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +410,23 @@ def test_sample_writes_schema_and_passes(tmp_path, capsys):
     assert row["trace_theory"] == "0.75"
     assert row["pass"] == "PASS"
     assert "PASS" in capsys.readouterr().out
+
+
+def test_table1_loads_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # np.unique(axis=0) would load numpy.ma (~35 ms per process), and the
+    # narrow Philox path numpy.random (~6 MB resident)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "from exitlaw.cli import main",
+        *(f"main(['table1', '--method', {m!r}, '--n', '2', '--out', {str(tmp_path / m)!r}])"
+          for m in ("wos", "exact")),
+        "print([name for name in ('numpy.ma', 'numpy.random') if name in sys.modules])",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_metadata_lines_identify_the_run_only(tmp_path):

@@ -1,16 +1,17 @@
 """Tests for the sampling driver, its sampler registry and the exit value type."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from exitlaw import driver
+from exitlaw import ball, brownian, driver, wos
 from exitlaw.brownian import BrownianConfig
 from exitlaw.driver import ExactConfig
 from exitlaw.exits import points_of
 from exitlaw.geometry import Ball, BoxDomain
-from exitlaw.wos import WosConfig
+from exitlaw.wos import MaxHopsExceeded, WosConfig
 
 DISK = Ball(np.zeros(2), 1.0)
 THETA = np.array([0.3, 0.1])
@@ -155,6 +156,123 @@ def test_thread_pool_is_clamped(monkeypatch, workers, n, cpus, threads):
     assert seen == ([] if threads is None else [threads])
     want = driver.sample_exits(DISK, THETA, ExactConfig(), n, seed=2)
     assert np.array_equal(got.points, want.points)
+
+
+# ---------------------------------------------------------------------------
+# multi-start batches
+# ---------------------------------------------------------------------------
+
+#: Three starts per dimension on the unit ball, the last one off-axis.
+STARTS = {
+    2: [(0.2, 0.0), (0.5, 0.0), (0.3, -0.4)],
+    3: [(0.2, 0.0, 0.0), (0.5, 0.0, 0.0), (0.3, -0.4, 0.1)],
+    4: [(0.2, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0), (0.3, -0.4, 0.1, -0.2)],
+}
+
+#: Method -> (kernel, a config that runs it fast).
+KERNELS = {
+    "brownian": (brownian.simulate_exit_batch, BrownianConfig(dt=1e-2)),
+    "wos": (wos.wos_exit_batch, WosConfig()),
+    "exact": (ball.sample_exact_batch, ExactConfig()),
+}
+
+
+def assert_same_exits(got, want):
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.steps, want.steps)
+    if want.exit_times is None:
+        assert got.exit_times is None
+    else:
+        assert np.array_equal(got.exit_times, want.exit_times)
+
+
+def rows_of(batch, lo, hi):
+    times = batch.exit_times[lo:hi] if batch.exit_times is not None else None
+    return type(batch)(batch.points[lo:hi], batch.steps[lo:hi], times)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("method", sorted(KERNELS))
+def test_multi_start_kernel_batch_equals_single_start_calls(monkeypatch, method, d, order):
+    # one start per stream: the (3n, d) batch is byte-equal to three
+    # one-start batches, also when brownian groups straddle two starts
+    monkeypatch.setattr(brownian, "_GROUP_STREAMS", 7)
+    kernel, cfg = KERNELS[method]
+    domain, n = Ball(np.zeros(d), 1.0), 30
+    starts = np.array(STARTS[d])
+    ids = np.concatenate([driver.stream_block(c, n) for c in (5, 0, 2)])
+    per_stream = np.array(np.repeat(starts, n, axis=0), order=order)
+    batch = kernel(domain, per_stream, cfg, 3, ids)
+    assert len(batch) == 3 * n
+    for i, theta in enumerate(starts):
+        one = kernel(domain, theta, cfg, 3, ids[i * n:(i + 1) * n])
+        assert_same_exits(rows_of(batch, i * n, (i + 1) * n), one)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("method", sorted(KERNELS))
+def test_sample_exits_serves_k_starts_in_one_call(method, workers, order):
+    # k*n rows ordered by start; row block i is start i's one-start call
+    sampler = KERNELS[method][1]
+    domain, n, contexts = Ball(np.zeros(3), 1.0), 25, [4, 0, 9]
+    starts = np.array(STARTS[3], order=order)
+    batch = driver.sample_exits(domain, starts, sampler, n, seed=6, context=contexts,
+                                workers=workers)
+    assert len(batch) == 3 * n
+    for i, (theta, context) in enumerate(zip(starts, contexts)):
+        one = driver.sample_exits(domain, theta, sampler, n, seed=6, context=context)
+        assert_same_exits(rows_of(batch, i * n, (i + 1) * n), one)
+
+
+@pytest.mark.parametrize("method", sorted(KERNELS))
+def test_a_start_outside_the_domain_is_named(method):
+    starts = np.array([[0.2, 0.0], [1.2, 0.0], [0.3, -0.4]])
+    with pytest.raises(ValueError) as exc:
+        driver.sample_exits(DISK, starts, KERNELS[method][1], 5, seed=0, context=[0, 1, 2])
+    msg = str(exc.value)
+    assert "\n" not in msg and "is not strictly inside the" in msg
+    assert re.search(re.escape(str(starts[1])), msg), msg
+
+
+def test_a_near_boundary_start_keeps_the_exact_refusal():
+    starts = np.array([[0.2, 0.0], [1.0 - 1e-12, 0.0]])
+    with pytest.raises(ValueError, match="walk-on-spheres") as exc:
+        driver.sample_exits(DISK, starts, ExactConfig(), 5, seed=0, context=[0, 1])
+    assert f"rho/r > {ball.MAX_RHO_FRACTION!r}" in str(exc.value)
+    assert "\n" not in str(exc.value)
+
+
+def test_starts_and_contexts_must_pair_up():
+    starts = np.array(STARTS[2])
+    for context in (0, [0, 1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="need one context per start"):
+            driver.sample_exits(DISK, starts, WosConfig(), 5, seed=0, context=context)
+    with pytest.raises(ValueError, match="need one context per start"):
+        driver.sample_exits(DISK, THETA, WosConfig(), 5, seed=0, context=[0])
+    with pytest.raises(ValueError, match=r"one row per stream.*shape \(3, 2\)"):
+        wos.wos_exit_batch(DISK, starts, WosConfig(), 0, np.arange(4, dtype=np.uint64))
+
+
+def test_max_hops_carries_pending_streams_and_positions_pair_by_pair(monkeypatch):
+    # the compacted kernel drops absorbed walks; the pending ones keep
+    # their ids and positions in step, whatever their start
+    monkeypatch.setattr(wos, "MAX_HOPS", 3)
+    cfg, n = WosConfig(epsilon=1e-2), 20
+    starts = np.repeat(np.array(STARTS[2]), n, axis=0)
+    ids = np.arange(3 * n, dtype=np.uint64)
+    with pytest.raises(MaxHopsExceeded) as exc:
+        wos.wos_exit_batch(DISK, starts, cfg, 1, ids)
+    err = exc.value
+    assert err.hops == 3
+    assert 0 < err.stream_ids.size < 3 * n
+    assert err.positions.shape == (err.stream_ids.size, 2)
+    for sid, pos in zip(err.stream_ids.tolist(), err.positions):
+        with pytest.raises(MaxHopsExceeded) as one:
+            wos.wos_exit_batch(DISK, starts[sid], cfg, 1, [sid])
+        assert one.value.stream_ids.tolist() == [sid]
+        assert np.array_equal(one.value.positions[0], pos)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Worked examples and dimension-generic property tests for the domains."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +130,16 @@ def test_crossing_examples():
     box = BoxDomain((0.0, 0.0), (1.0, 1.0))
     pts, _ = box.crossing_many(rows((0.5, 0.5)), rows((1.5, 0.5)))
     assert np.allclose(pts, [(1.0, 0.5)])
+
+
+def test_box_crossing_with_a_subnormal_direction_component_is_quiet():
+    # (upper - a) / 1e-310 overflows to inf, which loses the min: no warning
+    box = BoxDomain((-1.0, -1.0), (1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pts, t = box.crossing_many(rows((0.0, 0.0)), rows((2.0, 1e-310)))
+    assert t.tolist() == [0.5]
+    assert pts.tolist() == [[1.0, 0.5 * 1e-310]]
 
 
 def test_dimension_mismatch_raises():
