@@ -5,9 +5,7 @@ increments, stopped at the first position outside the closed domain.
 The recorded exit is the segment-boundary crossing between the last
 inside and first outside positions, with the exit time interpolated at
 the crossing parameter — accepting the raw outside point would bias the
-exit position outward by O(sqrt(dt)). The cruder scheme (project the
-first outside point, count a whole step) stays available as
-``exit_rule="first-outside"`` for comparison runs.
+exit position outward by O(sqrt(dt)).
 
 The batch kernel processes all pending samples in lockstep blocks of
 steps. Trajectory prefixes are cumulative sums of counter-addressed
@@ -48,8 +46,6 @@ from . import philox, rng
 from .exits import ExitBatch
 from .geometry import Domain
 
-EXIT_RULES = ("interpolate", "first-outside")
-
 # Philox words per stream per block (see the module docstring).
 _BLOCK_WORDS = 4 * philox.NARROW_WORDS
 
@@ -59,20 +55,14 @@ _GROUP_STREAMS = (1 << 18) // _BLOCK_WORDS
 
 @dataclass(frozen=True)
 class BrownianConfig:
-    """Timestep and exit rule of the discretized walk.
-
-    dt is the increment variance per coordinate; ``exit_rule`` picks how
-    the exit point is read off the first step that leaves the domain.
-    """
+    """Timestep of the discretized walk: dt is the increment variance per
+    coordinate."""
 
     dt: float = 1e-4
-    exit_rule: str = "interpolate"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.exit_rule not in EXIT_RULES:
-            raise ValueError(f"exit_rule must be one of {EXIT_RULES}, got {self.exit_rule!r}")
 
     def resolve_max_steps(self, domain: Domain) -> int:
         """The step cap ``ceil(100 D^2 / dt)``; a ValueError beyond 2^62 steps."""
@@ -160,16 +150,9 @@ def _walk(domain: Domain, X: np.ndarray, cfg: BrownianConfig, seed: int,
             j = np.argmax(out_mask[rows], axis=1)
             idx = alive[rows]
             prev = np.where((j == 0)[:, None], X[idx], path[rows, j - 1, :])
-            first_out = path[rows, j, :]
-            total = done_steps + j + 1
-            steps[idx] = total
-            if cfg.exit_rule == "interpolate":
-                pts, t = domain.crossing_many(prev, first_out)
-                points[idx] = pts
-                times[idx] = (done_steps + j + t) * cfg.dt
-            else:
-                points[idx] = domain.project_outside_many(first_out)
-                times[idx] = total * cfg.dt
+            points[idx], t = domain.crossing_many(prev, path[rows, j, :])
+            steps[idx] = done_steps + j + 1
+            times[idx] = (done_steps + j + t) * cfg.dt
         survivors = ~hit
         X[alive[survivors]] = path[survivors, -1, :]
         alive = alive[survivors]

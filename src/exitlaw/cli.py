@@ -115,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     sampler_knobs(p)
     p.add_argument("--n", dest="n_samples", type=int, default=500,
                    help="sample count (default %(default)s)")
-    p.add_argument("--exit-rule", dest="exit_rule", choices=brownian.EXIT_RULES,
-                   default=brownian.BrownianConfig.exit_rule,
-                   help="brownian exit extraction (default %(default)s)")
 
     p = sub.add_parser("kernel-check", help="verify the ball kernel integrates to 1")
     common(p, workers="unused: the quadrature runs on one thread")
@@ -209,7 +206,7 @@ def _config_flags(path: str, cmd: argparse.ArgumentParser) -> list[str]:
     if not isinstance(file_cfg, dict):
         cmd.error(f"config file {path} must hold a JSON object")
 
-    # a key is a flag name or its dest, with "-" or "_": "n", "n_samples", "exit-rule"
+    # a key is a flag name or its dest, with "-" or "_": "n", "n_samples", "trips-grid"
     known = {}
     for action in cmd._actions:
         for opt in action.option_strings:
@@ -313,8 +310,8 @@ def _run_sample(ns: argparse.Namespace) -> int:
     batch = driver.sample_exits(domain, ns.theta, sampler, ns.n_samples, ns.seed,
                                 workers=ns.workers)
     row = stats.compare(stats.summarize(batch), domain, ns.theta, sampler=sampler)
-    meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon", "exit_rule",
-                            "dim", "center", "radius", "theta"))
+    meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon", "dim", "center",
+                            "radius", "theta"))
     path = _write(ns, _render(SAMPLING_HEADER, _sampling_rows([row]), meta, ns.format))
     verdict = "PASS" if row.passed else "FAIL"
     print(f"mean {tuple(round(v, 6) for v in row.summary.mean.tolist())} "

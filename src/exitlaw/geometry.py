@@ -115,10 +115,6 @@ class Domain(abc.ABC):
         t[i] in (0, 1] is the segment parameter of the crossing.
         """
 
-    @abc.abstractmethod
-    def project_outside_many(self, pts: np.ndarray) -> np.ndarray:
-        """Nearest boundary point for each row lying outside the closed domain."""
-
     def _check_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
@@ -222,10 +218,6 @@ class Ball(Domain):
             rho = np.where(tie, 1.0, rho)
         return self._land_on_boundary(v, rho)
 
-    def project_outside_many(self, pts):
-        # Radial projection is the nearest-point map from either side.
-        return self.project_to_boundary_many(pts)
-
     def crossing_many(self, inside, outside):
         a = self._check_batch(inside) - self.center
         b = self._check_batch(outside) - self.center
@@ -294,11 +286,6 @@ class BoxDomain(Domain):
         rows = np.arange(pts.shape[0])
         out[rows, coord] = np.where(j & 1, self.upper[coord], self.lower[coord])
         return out
-
-    def project_outside_many(self, pts):
-        # Clamping an exterior point into the closed box lands on its surface.
-        pts = self._check_batch(pts)
-        return np.clip(pts, self.lower, self.upper)
 
     def crossing_many(self, inside, outside):
         a = self._check_batch(inside)

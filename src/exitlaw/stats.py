@@ -91,7 +91,6 @@ class ComparisonRow:
     passed: bool
     dt: float | None = None
     epsilon: float | None = None
-    note: str = ""
 
 
 def compare(summary: SummaryStats, domain: Domain, theta, *,
@@ -118,7 +117,6 @@ def compare(summary: SummaryStats, domain: Domain, theta, *,
         z_trace = None
         zs = z_mean
     ok = bool(np.all(np.isfinite(zs)) and np.max(np.abs(zs)) <= Z_MAX)
-    note = "" if np.all(np.isfinite(zs)) else "degenerate standard errors"
     return ComparisonRow(
         d=domain.dimension,
         theta=tuple(float(v) for v in theta),
@@ -131,7 +129,6 @@ def compare(summary: SummaryStats, domain: Domain, theta, *,
         passed=ok,
         dt=sampler.dt if isinstance(sampler, BrownianConfig) else None,
         epsilon=sampler.resolve_epsilon(domain) if isinstance(sampler, WosConfig) else None,
-        note=note,
     )
 
 

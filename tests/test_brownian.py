@@ -20,8 +20,6 @@ def ids(n):
 def test_config_validation():
     with pytest.raises(ValueError):
         BrownianConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        BrownianConfig(exit_rule="nearest")
 
 
 def test_exit_time_is_within_the_final_step():
@@ -36,16 +34,14 @@ def test_exit_time_is_within_the_final_step():
 def test_exit_points_on_boundary():
     for domain, theta in [(BALL2, THETA2),
                           (BoxDomain((0.0, 0.0), (2.0, 1.0)), np.array([0.4, 0.3]))]:
-        for rule in ("interpolate", "first-outside"):
-            cfg = BrownianConfig(dt=1e-3, exit_rule=rule)
-            batch = simulate_exit_batch(domain, theta, cfg, 1, ids(400))
-            if isinstance(domain, Ball):
-                resid = np.abs(np.linalg.norm(batch.points, axis=1) - 1.0)
-            else:
-                lo = np.abs(batch.points - domain.lower).min(axis=1)
-                hi = np.abs(batch.points - domain.upper).min(axis=1)
-                resid = np.minimum(lo, hi)
-            assert resid.max() <= 1e-9 * domain.diameter()
+        batch = simulate_exit_batch(domain, theta, BrownianConfig(dt=1e-3), 1, ids(400))
+        if isinstance(domain, Ball):
+            resid = np.abs(np.linalg.norm(batch.points, axis=1) - 1.0)
+        else:
+            lo = np.abs(batch.points - domain.lower).min(axis=1)
+            hi = np.abs(batch.points - domain.upper).min(axis=1)
+            resid = np.minimum(lo, hi)
+        assert resid.max() <= 1e-9 * domain.diameter()
 
 
 def test_block_width_does_not_change_results(monkeypatch):
@@ -54,20 +50,19 @@ def test_block_width_does_not_change_results(monkeypatch):
     # takes its previous point from the carried position; 255/256/257
     # straddle philox.NARROW_WORDS.
     box3 = BoxDomain((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))
+    cfg = BrownianConfig(dt=1e-3)
     default = brownian._BLOCK_WORDS
     for domain, theta in [(BALL2, THETA2), (box3, np.array([0.4, 0.3, 0.5]))]:
         d = domain.dimension
-        for rule in ("interpolate", "first-outside"):
-            cfg = BrownianConfig(dt=1e-3, exit_rule=rule)
-            monkeypatch.setattr(brownian, "_BLOCK_WORDS", default)
-            want = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
-            for words in (d, 7, 255, 256, 257):
-                monkeypatch.setattr(brownian, "_BLOCK_WORDS", words)
-                got = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
-                case = (d, rule, words)
-                assert np.array_equal(want.points, got.points), case
-                assert np.array_equal(want.steps, got.steps), case
-                assert np.array_equal(want.exit_times, got.exit_times), case
+        monkeypatch.setattr(brownian, "_BLOCK_WORDS", default)
+        want = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
+        for words in (d, 7, 255, 256, 257):
+            monkeypatch.setattr(brownian, "_BLOCK_WORDS", words)
+            got = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
+            case = (d, words)
+            assert np.array_equal(want.points, got.points), case
+            assert np.array_equal(want.steps, got.steps), case
+            assert np.array_equal(want.exit_times, got.exit_times), case
 
 
 def cap_steps(monkeypatch, steps):
@@ -210,20 +205,6 @@ def test_dt_refinement_shrinks_trace_bias():
     assert biases[0] > biases[1] - slack
     assert biases[1] > biases[2] - 2 * np.hypot(ses[1], ses[2])
     assert biases[0] > biases[2]   # the end-to-end refinement is unambiguous
-
-
-def test_first_outside_rule_relations():
-    # identical paths; cruder exit extraction
-    n = 3000
-    interp = simulate_exit_batch(BALL2, THETA2, BrownianConfig(dt=1e-3), 7, ids(n))
-    crude_cfg = BrownianConfig(dt=1e-3, exit_rule="first-outside")
-    crude = simulate_exit_batch(BALL2, THETA2, crude_cfg, 7, ids(n))
-    assert np.array_equal(interp.steps, crude.steps)
-    gap = crude.exit_times - interp.exit_times
-    assert (gap >= 0).all() and (gap < 1e-3).all()
-    assert crude.exit_times == pytest.approx(crude.steps * 1e-3)
-    # the two extraction rules disagree pointwise on the same paths
-    assert not np.allclose(interp.points, crude.points, atol=1e-6)
 
 
 def test_exit_times_positive_and_steps_consistent():

@@ -193,17 +193,17 @@ def test_malformed_point_exits_2(capsys):
 def test_config_file_preloads_flags_and_flags_override(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
-        "seed": 7, "n": 250, "method": "exact",
-        "exit-rule": "first-outside", "theta": [0.5, 0.0],
+        "seed": 7, "replications": 250, "method": "exact",
+        "trips-grid": [10, 100], "house": [0.5, 0.0],
     }))
-    cfg = parse_args(["sample", "--config", str(path)])
-    assert (cfg.seed, cfg.n_samples, cfg.method) == (7, 250, "exact")
-    assert cfg.exit_rule == "first-outside"
-    assert cfg.theta == (0.5, 0.0)
+    cfg = parse_args(["privacy", "--config", str(path)])
+    assert (cfg.seed, cfg.replications, cfg.method) == (7, 250, "exact")
+    assert cfg.trips_grid == (10, 100)
+    assert cfg.house == (0.5, 0.0)
 
-    cfg = parse_args(["sample", "--config", str(path), "--seed", "3"])
-    assert cfg.seed == 3          # explicit flag wins
-    assert cfg.n_samples == 250   # file value survives
+    cfg = parse_args(["privacy", "--config", str(path), "--seed", "3"])
+    assert cfg.seed == 3             # explicit flag wins
+    assert cfg.replications == 250   # file value survives
 
 
 @pytest.mark.parametrize("payload, fragment", [
@@ -258,27 +258,32 @@ def test_config_seed_outside_64_bits_exits_2(tmp_path, seed, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["n", "n_samples", "exit-rule", "exit_rule"])
+@pytest.mark.parametrize("key", ["n", "n_samples", "trips-grid", "trips_grid"])
 def test_config_keys_are_flag_names_or_dests(tmp_path, key):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({key: 1 if key.startswith("n") else "first-outside"}))
-    ns = parse_args(["sample", "--config", str(path)])
-    assert ns.n_samples == 1 if key.startswith("n") else ns.exit_rule == "first-outside"
+    if key.startswith("n"):
+        path.write_text(json.dumps({key: 1}))
+        assert parse_args(["sample", "--config", str(path)]).n_samples == 1
+    else:
+        path.write_text(json.dumps({key: [10, 100]}))
+        assert parse_args(["privacy", "--config", str(path)]).trips_grid == (10, 100)
 
 
-@pytest.mark.parametrize("command", ["table1", "sample", "privacy"])
-def test_step_fraction_is_no_flag_or_config_key(tmp_path, command, capsys):
-    # walk on spheres always hops to the largest inscribed sphere
-    with pytest.raises(SystemExit) as exc:
-        parse_args([command, "--step-fraction", "0.5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --step-fraction" in capsys.readouterr().err
+# walk on spheres always hops to the largest inscribed sphere, and the
+# brownian exit is always the crossing of the step that leaves
+@pytest.mark.parametrize("key, value", [("step_fraction", "0.5"), ("exit_rule", "interpolate")],
+                         ids=["step_fraction", "exit_rule"])
+@pytest.mark.parametrize("command", ["table1", "sample", "kernel-check", "privacy"])
+def test_removed_knob_is_no_flag_or_config_key(tmp_path, command, key, value, capsys):
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "s.csv"
+    assert exit_status([command, flag, value], out) == 2
+    assert_one_line_error(capsys.readouterr().err, f"unrecognized arguments: {flag} {value}")
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"step_fraction": 0.5}))
-    with pytest.raises(SystemExit) as exc:
-        parse_args([command, "--config", str(path)])
-    assert exc.value.code == 2
-    assert "unknown config file key 'step_fraction'" in capsys.readouterr().err
+    path.write_text(json.dumps({key: value}))
+    assert exit_status([command, "--config", str(path)], out) == 2
+    assert_one_line_error(capsys.readouterr().err, f"unknown config file key '{key}'")
+    assert not out.exists()
 
 
 def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
@@ -318,7 +323,7 @@ def test_knobs_of_other_samplers_still_checked(capsys):
 # sampler flags against the registry
 # ---------------------------------------------------------------------------
 
-SAMPLER_FLAGS = ("--dt", "--epsilon", "--exit-rule")
+SAMPLER_FLAGS = ("--dt", "--epsilon")
 
 
 def subcommand_actions(name):
@@ -348,17 +353,16 @@ def test_run_config_knobs_default_to_the_config_types():
                 if f.name in defaults:
                     assert defaults[f.name] == f.default, (command, cls.__name__, f.name)
                     knobs.add(f.name)
-    assert knobs == {"dt", "epsilon", "exit_rule"}
+    assert knobs == {"dt", "epsilon"}
 
 
-SHOWN_DEFAULTS = {"--dt": brownian.BrownianConfig.dt,
-                  "--exit-rule": brownian.BrownianConfig.exit_rule}
+SHOWN_DEFAULTS = {"--dt": brownian.BrownianConfig.dt}
 
 
 @pytest.mark.parametrize("argv, flags", [
     ([], ()),
     (["table1"], ("--dt",)),
-    (["sample"], ("--dt", "--exit-rule")),
+    (["sample"], ("--dt",)),
     (["kernel-check"], ()),
     (["privacy"], ("--dt",)),
 ])
@@ -373,20 +377,6 @@ def test_help_exits_0(argv, flags, capsys):
     for flag in flags:
         shown = re.search(rf" {flag} \S+ [^()]*\(default ([^)]*)\)", text)
         assert shown and shown.group(1) == str(SHOWN_DEFAULTS[flag]), flag
-
-
-def test_exit_rule_reaches_the_brownian_config(monkeypatch, tmp_path):
-    seen = []
-    real = driver.sample_exits
-
-    def recording(domain, theta, sampler, *args, **kwargs):
-        seen.append(sampler)
-        return real(domain, theta, sampler, *args, **kwargs)
-
-    monkeypatch.setattr(driver, "sample_exits", recording)
-    main(["sample", "--exit-rule", "first-outside", "--dt", "1e-3", "--n", "4",
-          "--out", str(tmp_path / "s.csv")])
-    assert seen == [brownian.BrownianConfig(dt=1e-3, exit_rule="first-outside")]
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +623,7 @@ def test_far_center_coarse_grid_exits_2_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", ["--method wos", "--method brownian --dt 1e-3 "
-                                   "--exit-rule first-outside"])
+@pytest.mark.parametrize("extra", ["--method wos", "--method brownian --dt 1e-3"])
 def test_off_origin_ball_samples(tmp_path, extra):
     # |c|/r = 1000: every exit needs the grid-sized nudge to land
     out = tmp_path / "s.csv"

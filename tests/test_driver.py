@@ -89,14 +89,12 @@ def test_registry_maps_each_method_to_one_config_type():
     assert ExactConfig() == ExactConfig()
     # each config type holds only the knobs a user sets
     names = {m: {f.name for f in dataclasses.fields(cls)} for m, cls in driver.SAMPLERS.items()}
-    assert names == {"brownian": {"dt", "exit_rule"}, "wos": {"epsilon"},
-                     "exact": set()}
+    assert names == {"brownian": {"dt"}, "wos": {"epsilon"}, "exact": set()}
 
 
 def test_sampler_config_takes_each_method_its_own_knobs():
-    knobs = dict(dt=1e-3, exit_rule="first-outside", epsilon=1e-5)
-    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(
-        dt=1e-3, exit_rule="first-outside")
+    knobs = dict(dt=1e-3, epsilon=1e-5)
+    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(dt=1e-3)
     assert driver.sampler_config("wos", **knobs) == WosConfig(epsilon=1e-5)
     assert driver.sampler_config("exact", **knobs) == ExactConfig()
     assert driver.sampler_config("wos") == WosConfig()

@@ -116,10 +116,9 @@ def test_projection_off_origin_lands_on_the_sphere(cx):
     rng = np.random.default_rng(3)
     v = rng.standard_normal((20_000, 2))
     v *= (rng.uniform(0.5, 1.0 - 1e-6, 20_000) / np.linalg.norm(v, axis=1))[:, None]
-    for proj in (b.project_to_boundary_many, b.project_outside_many):
-        q = proj(b.center + v)
-        assert not b.contains_many(q).any()
-        assert np.abs(np.linalg.norm(q - b.center, axis=1) - 1.0).max() <= 1e-9
+    q = b.project_to_boundary_many(b.center + v)
+    assert not b.contains_many(q).any()
+    assert np.abs(np.linalg.norm(q - b.center, axis=1) - 1.0).max() <= 1e-9
 
 
 def test_crossing_examples():
@@ -298,12 +297,3 @@ def test_crossing_many_matches_scalar():
         q, _ = b.crossing_many(inside[i:i + 1], outside[i:i + 1])
         assert np.array_equal(pts[i], q[0])
         assert 0.0 < t[i] <= 1.0
-
-
-def test_project_outside_many():
-    b = unit_ball(2)
-    out = b.project_outside_many(np.array([[2.0, 0.0], [0.0, -3.0]]))
-    assert np.allclose(out, [[1.0, 0.0], [0.0, -1.0]])
-    box = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    out = box.project_outside_many(np.array([[1.5, 0.5], [-0.2, 2.0]]))
-    assert np.allclose(out, [[1.0, 0.5], [0.0, 1.0]])

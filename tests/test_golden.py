@@ -23,8 +23,6 @@ CASES = {
     "table1_brownian": "table1 --method brownian --n 12 --seed 11",
     "sample_brownian_w2": "sample --method brownian --dim 3 --theta 0.3,0.2,0 "
                           "--n 30 --dt 1e-3 --workers 2 --seed 4",
-    "sample_brownian_first_outside": "sample --method brownian --dim 2 --theta 0.6,0 "
-                                     "--n 40 --dt 1e-3 --exit-rule first-outside --seed 4",
     "sample_wos": "sample --method wos --dim 2 --theta 0.5,0.1 --n 300 --seed 4",
     "sample_exact": "sample --method exact --dim 4 --theta 0.7,0,0,0 --n 300 --seed 4",
     "kernel_check_d3": "kernel-check --dim 3 --rho 0.2 --resolution 20000 --seed 5",
@@ -52,6 +50,11 @@ def test_csv_bytes_match_golden(name, tmp_path, capsys):
 def test_golden_written_by_this_version(name):
     first = (GOLDEN / f"{name}.csv").read_text().splitlines()[0]
     assert first == f"# exitlaw {__version__}"
+
+
+def test_every_golden_file_is_a_case():
+    # regeneration writes only the current cases, so a dropped case's file would linger
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(CASES)
 
 
 if __name__ == "__main__":

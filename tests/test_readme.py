@@ -1,7 +1,11 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and its
+command-line text names every flag of the CLI and no other."""
 
+import argparse
 import re
 from pathlib import Path
+
+from exitlaw.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +23,11 @@ def test_library_example_runs(capsys):
     exec(compile(library_block(), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and "vs 0.75" in lines[0] and "predicted" in lines[1]
+
+
+def test_readme_names_every_cli_flag_and_only_those():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for cmd in sub.choices.values() for action in cmd._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
+    assert named == flags - {"--help"}

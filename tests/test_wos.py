@@ -49,9 +49,6 @@ class RecordingBall(Domain):
     def project_to_boundary_many(self, pts):
         return self.ball.project_to_boundary_many(pts)
 
-    def project_outside_many(self, pts):
-        return self.ball.project_outside_many(pts)
-
     def crossing_many(self, inside, outside):
         return self.ball.crossing_many(inside, outside)
 
