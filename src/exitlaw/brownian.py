@@ -26,6 +26,11 @@ arrays near 2^18 values (2 MB) each however many samples or starts are
 asked for; on the ``table1`` brownian runs wider groups saved no time
 and raised the peak resident memory (CHANGES.md has the figures).
 
+Groups are also the unit of threading: up to ``BrownianConfig.workers``
+threads walk them, each into its own rows, so no bit depends on the
+count. A group's long numpy blocks run mostly outside the interpreter
+lock; the short per-round Python of wos and exact sampling would not.
+
 A walk that reaches ``ceil(100 D^2 / dt)`` steps in a domain of diameter
 D raises MaxStepsExceeded rather than being truncated, which would bias
 the exit law. Brownian motion leaves the domain with a tail
@@ -38,6 +43,8 @@ sees the same path at the grid times, its rate tending to lambda_1.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +63,17 @@ _GROUP_STREAMS = (1 << 18) // _BLOCK_WORDS
 @dataclass(frozen=True)
 class BrownianConfig:
     """Timestep of the discretized walk: dt is the increment variance per
-    coordinate."""
+    coordinate. ``workers`` caps the threads that walk stream groups; it
+    never changes a result."""
 
     dt: float = 1e-4
+    workers: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (isinstance(self.workers, (int, np.integer)) and self.workers >= 1):
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
     def resolve_max_steps(self, domain: Domain) -> int:
         """The step cap ``ceil(100 D^2 / dt)``; a ValueError beyond 2^62 steps."""
@@ -98,9 +109,10 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     theta is one start for every stream or an (m, d) array of one start
     per stream. Step k of a stream reads Gaussian words [k*d, (k+1)*d)
     of it. The streams are walked in groups of at most
-    ``_GROUP_STREAMS``; a walk never depends on the others, so the
-    grouping changes no bit. Raises MaxStepsExceeded, carrying the
-    pending walks of the group, when a walk reaches the step cap.
+    ``_GROUP_STREAMS`` on up to ``cfg.workers`` threads; a walk never
+    depends on the others, so neither changes a bit. Raises
+    MaxStepsExceeded, carrying the pending walks of the first group (in
+    row order) that reaches the step cap.
     """
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
     m, d = ids.shape[0], domain.dimension
@@ -110,10 +122,20 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     points = np.empty((m, d))
     times = np.empty(m)
     steps = np.empty(m, dtype=np.int64)
-    for lo in range(0, m, _GROUP_STREAMS):
-        group = slice(lo, lo + _GROUP_STREAMS)
+
+    def walk(group: slice) -> None:
         _walk(domain, starts[group], cfg, seed, ids[group], step_cap,
               points[group], steps[group], times[group])
+
+    groups = [slice(lo, lo + _GROUP_STREAMS) for lo in range(0, m, _GROUP_STREAMS)]
+    threads = min(cfg.workers, len(groups), os.cpu_count() or 1)
+    if threads <= 1:
+        for group in groups:
+            walk(group)
+    else:
+        # map yields in group order, so the first failing group's error is raised
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(walk, groups))
     return ExitBatch(points, steps, times)
 
 

@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample Brownian exit distributions and check them against closed forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers="parallel workers, never changes results"):
+    def common(p, workers="threads walking brownian stream groups; wos and exact run "
+                          "on one thread; never changes results"):
         p.add_argument("--seed", type=int, default=0,
                        help="run seed in [0, 2^64) (default %(default)s)")
         p.add_argument("--out", help="output path (default: <command>.<ext> "
@@ -296,7 +297,7 @@ def _sampler(ns: argparse.Namespace, method: str | None = None) -> driver.Sample
 
 
 def _run_table1(ns: argparse.Namespace) -> int:
-    rows = stats.reproduce_table1(_sampler(ns), ns.n_samples, ns.seed, workers=ns.workers)
+    rows = stats.reproduce_table1(_sampler(ns), ns.n_samples, ns.seed)
     meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon"))
     path = _write(ns, _render(SAMPLING_HEADER, _sampling_rows(rows), meta, ns.format))
     npass = sum(r.passed for r in rows)
@@ -307,8 +308,7 @@ def _run_table1(ns: argparse.Namespace) -> int:
 def _run_sample(ns: argparse.Namespace) -> int:
     domain = Ball(ns.center, ns.radius)
     sampler = _sampler(ns)
-    batch = driver.sample_exits(domain, ns.theta, sampler, ns.n_samples, ns.seed,
-                                workers=ns.workers)
+    batch = driver.sample_exits(domain, ns.theta, sampler, ns.n_samples, ns.seed)
     row = stats.compare(stats.summarize(batch), domain, ns.theta, sampler=sampler)
     meta = _meta_lines(ns, ("method", "n_samples", "dt", "epsilon", "dim", "center",
                             "radius", "theta"))
@@ -339,8 +339,7 @@ def _run_privacy(ns: argparse.Namespace) -> int:
     scenario = privacy.CloakScenario(house=ns.house, privacy_region=Ball(ns.center, ns.radius),
                                      trips=ns.trips, sampler=_sampler(ns))
     grid = ns.trips_grid if ns.trips_grid is not None else (ns.trips,)
-    points = privacy.privacy_curve(scenario, grid, ns.replications, ns.seed,
-                                   workers=ns.workers)
+    points = privacy.privacy_curve(scenario, grid, ns.replications, ns.seed)
     rows = [[p.trips, p.empirical_rmse, p.predicted_rmse, p.ratio] for p in points]
     grid_key = "trips_grid" if ns.trips_grid is not None else "trips"
     meta = _meta_lines(ns, ("method", "dt", "epsilon", "house", "center", "radius",

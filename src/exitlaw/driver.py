@@ -1,4 +1,4 @@
-"""Shared sampling driver: the sampler registry, stream allocation, workers.
+"""Shared sampling driver: the sampler registry and stream allocation.
 
 Each sampler is named by a method and configured by one frozen config
 type: ``SAMPLERS`` maps ``brownian`` to ``BrownianConfig``, ``wos`` to
@@ -13,20 +13,15 @@ Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
 disjoint id block under the run seed. ``sample_exits`` serves k starts
 on one domain in one lockstep batch, one context per start, so a
-kernel pays its per-round cost once for all of them. Worker parallelism
-splits the batch's rows into contiguous chunks, one per thread, with no
-more threads than rows or CPUs; each chunk is an independent batch over
-its own per-sample streams and starts, and results are reassembled in
-row order — so the output is a pure function of (seed, contexts, n) and
-neither the worker count nor the grouping of starts into calls can
-change a byte.
+kernel pays its per-round cost once for all of them. Every sample reads
+only its own stream, so the output is a pure function of (config, seed,
+contexts, n) however starts are grouped into calls. Only the brownian
+kernel uses threads (``BrownianConfig.workers``).
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -85,7 +80,7 @@ def stream_block(context: int, n: int) -> np.ndarray:
 
 
 def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
-                 context: int | Sequence[int] = 0, workers: int = 1) -> ExitBatch:
+                 context: int | Sequence[int] = 0) -> ExitBatch:
     """Draw n exit samples per start with the given sampler config.
 
     theta is one start (d,) with one ``context``, or k starts (k, d) with
@@ -98,8 +93,6 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
     kernel = getattr(module, name)
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     starts = np.asarray(theta, dtype=np.float64)
     multi = starts.ndim == 2
     if np.ndim(context) != multi or multi and len(context) != starts.shape[0]:
@@ -111,15 +104,4 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
         starts = np.repeat(np.ascontiguousarray(starts), n, axis=0)
     else:
         ids = stream_block(context, n)
-
-    threads = min(workers, ids.size, os.cpu_count() or 1)
-    if threads <= 1:
-        return kernel(domain, starts, sampler, seed, ids)
-    starts_parts = np.array_split(starts, threads) if multi else [starts] * threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda s, i: kernel(domain, s, sampler, seed, i),
-                              starts_parts, np.array_split(ids, threads)))
-    times = (np.concatenate([p.exit_times for p in parts])
-             if parts[0].exit_times is not None else None)
-    return ExitBatch(np.concatenate([p.points for p in parts]),
-                     np.concatenate([p.steps for p in parts]), times)
+    return kernel(domain, starts, sampler, seed, ids)

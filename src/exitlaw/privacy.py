@@ -75,7 +75,7 @@ def predicted_rmse(scenario: CloakScenario) -> float | None:
 
 
 def run_attacks(scenario: CloakScenario, seed: int, replications: int,
-                context: int = 0, workers: int = 1) -> list[PrivacyReport]:
+                context: int = 0) -> list[PrivacyReport]:
     """Mount ``replications`` independent sample-mean attacks.
 
     Replication j consumes streams [j*trips, (j+1)*trips) of the given
@@ -85,8 +85,7 @@ def run_attacks(scenario: CloakScenario, seed: int, replications: int,
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     batch = driver.sample_exits(scenario.privacy_region, scenario.house, scenario.sampler,
-                                replications * scenario.trips, seed, context=context,
-                                workers=workers)
+                                replications * scenario.trips, seed, context=context)
     pts = batch.points.reshape(replications, scenario.trips, -1)
     estimates = pts.mean(axis=1)
     diffs = estimates - scenario.house
@@ -114,7 +113,7 @@ class PrivacyCurvePoint:
 
 
 def privacy_curve(scenario: CloakScenario, trips_grid, replications: int,
-                  seed: int, workers: int = 1) -> list[PrivacyCurvePoint]:
+                  seed: int) -> list[PrivacyCurvePoint]:
     """Attack RMSE over a grid of trip counts, each over many replications.
 
     Grid cell g uses stream context g, so cells are independent. Every
@@ -123,7 +122,7 @@ def privacy_curve(scenario: CloakScenario, trips_grid, replications: int,
     cells = [replace(scenario, trips=int(trips)) for trips in trips_grid]
     points = []
     for g, cell in enumerate(cells):
-        reports = run_attacks(cell, seed, replications, context=g, workers=workers)
+        reports = run_attacks(cell, seed, replications, context=g)
         emp = math.sqrt(float(np.mean([rep.error ** 2 for rep in reports])))
         pred = reports[0].predicted_rmse
         points.append(PrivacyCurvePoint(

@@ -4,8 +4,7 @@ The estimators are the plain ones: componentwise mean, covariance trace
 as the sum of unbiased (n-1) per-coordinate variances, standard errors
 for both, with the trace SE by the delta method (the SE of the mean of
 W_j = |Y_j - mean|^2). ``summarize`` takes every moment over the whole
-sample at once, after the driver has reassembled its workers' parts in
-sample order.
+sample at once, in sample order.
 
 Comparison rows score each statistic as a z-value against the
 closed-form mean/trace and flag PASS when every |z| <= 4 — wide enough
@@ -132,8 +131,7 @@ def compare(summary: SummaryStats, domain: Domain, theta, *,
     )
 
 
-def reproduce_table1(sampler: driver.Sampler, n: int, seed: int,
-                     workers: int = 1) -> list[ComparisonRow]:
+def reproduce_table1(sampler: driver.Sampler, n: int, seed: int) -> list[ComparisonRow]:
     """Run the nine (d, rho) settings on the unit ball and score each row.
 
     Settings are d in {2, 3, 4} crossed with start distance rho in
@@ -149,8 +147,7 @@ def reproduce_table1(sampler: driver.Sampler, n: int, seed: int,
         domain = Ball(np.zeros(d), 1.0)
         starts = np.zeros((len(contexts), d))
         starts[:, 0] = [TABLE1_SETTINGS[k][1] for k in contexts]
-        batch = driver.sample_exits(domain, starts, sampler, n, seed,
-                                    context=contexts, workers=workers)
+        batch = driver.sample_exits(domain, starts, sampler, n, seed, context=contexts)
         for i, theta in enumerate(starts):
             part = batch.points[i * n:(i + 1) * n]
             rows.append(compare(summarize(part), domain, theta, sampler=sampler))

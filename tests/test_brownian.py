@@ -1,6 +1,8 @@
 """Tests for the discretized Brownian exit sampler."""
 
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +142,84 @@ def test_max_steps_carries_partial_state(monkeypatch):
     assert e.positions.shape == (32, 2)
     assert BALL2.contains_many(e.positions).all()
     assert "50 steps" in str(e) and "dt=1e-06" in str(e) and "diameter 2" in str(e)
+
+
+# ---------------------------------------------------------------------------
+# threads over stream groups
+# ---------------------------------------------------------------------------
+
+#: 700 streams from three starts, one per stream: groups of 256, 256 and
+#: 188 streams, the first two straddling a change of start.
+THREE_STARTS = np.repeat([[0.2, 0.0], [0.5, 0.0], [0.3, -0.4]], [300, 250, 150], axis=0)
+
+
+def assert_same_exits(got, want):
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.exit_times, want.exit_times)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
+def test_config_rejects_workers_below_1(workers):
+    with pytest.raises(ValueError, match=re.escape(f"workers must be >= 1, got {workers!r}")):
+        BrownianConfig(workers=workers)
+
+
+def test_worker_threads_are_bit_identical(monkeypatch):
+    monkeypatch.setattr(brownian.os, "cpu_count", lambda: 8)
+    cfg = BrownianConfig(dt=1e-2)
+    want = simulate_exit_batch(BALL2, THREE_STARTS, cfg, 7, ids(700))
+    for workers in (2, 3):
+        got = simulate_exit_batch(BALL2, THREE_STARTS, replace(cfg, workers=workers), 7,
+                                  ids(700))
+        assert_same_exits(got, want)
+
+
+@pytest.mark.parametrize("workers, groups, cpus, threads", [
+    (64, 5, 3, 3),       # capped by the CPU count
+    (2, 50, 8, 2),       # capped by the request
+    (64, 2, 8, 2),       # capped by the group count
+    (4, 1, 8, None),     # one group: no pool at all
+    (4, 50, 1, None),    # one CPU: no pool at all
+    (4, 50, None, None), # unknown CPU count counts as one
+])
+def test_thread_pool_is_clamped(monkeypatch, workers, groups, cpus, threads):
+    seen = []
+    real = brownian.ThreadPoolExecutor
+
+    def recording(max_workers):
+        seen.append(max_workers)
+        return real(max_workers=min(max_workers, 3))
+
+    # groups of 4 streams, the last one short
+    monkeypatch.setattr(brownian, "_GROUP_STREAMS", 4)
+    monkeypatch.setattr(brownian, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(brownian.os, "cpu_count", lambda: cpus)
+    cfg = BrownianConfig(dt=1e-2)
+    got = simulate_exit_batch(BALL2, THETA2, replace(cfg, workers=workers), 3,
+                              ids(4 * groups - 1))
+    assert seen == ([] if threads is None else [threads])
+    assert_same_exits(got, simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(4 * groups - 1)))
+
+
+def test_threaded_max_steps_names_the_serial_pending_walks(monkeypatch):
+    # every group of 256, 256 and 1 streams reaches the cap, the lone
+    # stream long before the others; both runs raise the first group's error
+    monkeypatch.setattr(brownian.os, "cpu_count", lambda: 8)
+    cap_steps(monkeypatch, 5000)
+    m = 2 * brownian._GROUP_STREAMS + 1
+    errors = []
+    for workers in (1, 3):
+        with pytest.raises(MaxStepsExceeded) as err:
+            simulate_exit_batch(BALL2, THREE_STARTS[:m], BrownianConfig(dt=1e-6, workers=workers),
+                                0, ids(m))
+        errors.append(err.value)
+    serial, threaded = errors
+    assert np.array_equal(serial.stream_ids, ids(brownian._GROUP_STREAMS))
+    assert np.array_equal(threaded.stream_ids, serial.stream_ids)
+    assert np.array_equal(threaded.positions, serial.positions)
+    assert threaded.steps == serial.steps == 5000
+    assert str(threaded) == str(serial)
 
 
 def test_default_step_cap_scales_with_diameter_and_dt():

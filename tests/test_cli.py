@@ -353,7 +353,7 @@ def test_run_config_knobs_default_to_the_config_types():
                 if f.name in defaults:
                     assert defaults[f.name] == f.default, (command, cls.__name__, f.name)
                     knobs.add(f.name)
-    assert knobs == {"dt", "epsilon"}
+    assert knobs == {"dt", "epsilon", "workers"}
 
 
 SHOWN_DEFAULTS = {"--dt": brownian.BrownianConfig.dt}
@@ -632,12 +632,14 @@ def test_off_origin_ball_samples(tmp_path, extra):
     assert out.read_text().splitlines()[-1].endswith(",PASS")
 
 
-def test_identical_bytes_across_worker_counts(tmp_path):
+def test_identical_bytes_across_worker_counts(tmp_path, monkeypatch):
+    # 3 x 200 walks per dimension are three 256-stream groups, so four
+    # workers reach the brownian thread pool, whatever the host's CPU count
+    monkeypatch.setattr(brownian.os, "cpu_count", lambda: 4)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["table1", "--method", "exact", "--n", "200", "--seed", "5",
-          "--workers", "1", "--out", str(a)])
-    main(["table1", "--method", "exact", "--n", "200", "--seed", "5",
-          "--workers", "4", "--out", str(b)])
+    argv = "table1 --method brownian --n 200 --dt 1e-2 --seed 5".split()
+    main(argv + ["--workers", "1", "--out", str(a)])
+    main(argv + ["--workers", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 

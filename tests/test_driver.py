@@ -56,12 +56,6 @@ def test_sample_exits_validates_method_and_n():
         driver.sample_exits(DISK, THETA, WosConfig(), 0, seed=0)
 
 
-@pytest.mark.parametrize("workers", [0, -2])
-def test_sample_exits_rejects_workers_below_1(workers):
-    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-        driver.sample_exits(DISK, THETA, ExactConfig(), 10, seed=0, workers=workers)
-
-
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_64_bits_raises(seed):
     # Philox would key on the seed modulo 2^64 and alias a seed in range
@@ -89,12 +83,12 @@ def test_registry_maps_each_method_to_one_config_type():
     assert ExactConfig() == ExactConfig()
     # each config type holds only the knobs a user sets
     names = {m: {f.name for f in dataclasses.fields(cls)} for m, cls in driver.SAMPLERS.items()}
-    assert names == {"brownian": {"dt"}, "wos": {"epsilon"}, "exact": set()}
+    assert names == {"brownian": {"dt", "workers"}, "wos": {"epsilon"}, "exact": set()}
 
 
 def test_sampler_config_takes_each_method_its_own_knobs():
-    knobs = dict(dt=1e-3, epsilon=1e-5)
-    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(dt=1e-3)
+    knobs = dict(dt=1e-3, epsilon=1e-5, workers=2)
+    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(dt=1e-3, workers=2)
     assert driver.sampler_config("wos", **knobs) == WosConfig(epsilon=1e-5)
     assert driver.sampler_config("exact", **knobs) == ExactConfig()
     assert driver.sampler_config("wos") == WosConfig()
@@ -121,39 +115,6 @@ def test_context_moves_streams_seed_held_fixed():
     c = driver.sample_exits(DISK, THETA, WosConfig(), 32, seed=4, context=0)
     assert not np.array_equal(a.points, b.points)
     assert np.array_equal(a.points, c.points)
-
-
-def test_worker_chunking_reassembles_identically():
-    lone = driver.sample_exits(DISK, THETA, WosConfig(), 50, seed=2, workers=1)
-    pool = driver.sample_exits(DISK, THETA, WosConfig(), 50, seed=2, workers=7)
-    assert np.array_equal(lone.points, pool.points)
-    assert np.array_equal(lone.steps, pool.steps)
-    timed = driver.sample_exits(DISK, THETA, BrownianConfig(dt=1e-3), 20, seed=2, workers=3)
-    timed1 = driver.sample_exits(DISK, THETA, BrownianConfig(dt=1e-3), 20, seed=2, workers=1)
-    assert np.array_equal(timed.exit_times, timed1.exit_times)
-
-
-@pytest.mark.parametrize("workers, n, cpus, threads", [
-    (64, 5, 3, 3),       # capped by the CPU count
-    (2, 50, 8, 2),       # capped by the request
-    (64, 2, 8, 2),       # capped by the sample count
-    (4, 50, 1, None),    # one CPU: no pool at all
-    (4, 50, None, None), # unknown CPU count counts as one
-])
-def test_thread_pool_is_clamped(monkeypatch, workers, n, cpus, threads):
-    seen = []
-    real = driver.ThreadPoolExecutor
-
-    def recording(max_workers):
-        seen.append(max_workers)
-        return real(max_workers=min(max_workers, 3))
-
-    monkeypatch.setattr(driver, "ThreadPoolExecutor", recording)
-    monkeypatch.setattr(driver.os, "cpu_count", lambda: cpus)
-    got = driver.sample_exits(DISK, THETA, ExactConfig(), n, seed=2, workers=workers)
-    assert seen == ([] if threads is None else [threads])
-    want = driver.sample_exits(DISK, THETA, ExactConfig(), n, seed=2)
-    assert np.array_equal(got.points, want.points)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +170,15 @@ def test_multi_start_kernel_batch_equals_single_start_calls(monkeypatch, method,
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("method", sorted(KERNELS))
-def test_sample_exits_serves_k_starts_in_one_call(method, workers, order):
+def test_sample_exits_serves_k_starts_in_one_call(method, k, order):
     # k*n rows ordered by start; row block i is start i's one-start call
     sampler = KERNELS[method][1]
-    domain, n, contexts = Ball(np.zeros(3), 1.0), 25, [4, 0, 9]
-    starts = np.array(STARTS[3], order=order)
-    batch = driver.sample_exits(domain, starts, sampler, n, seed=6, context=contexts,
-                                workers=workers)
-    assert len(batch) == 3 * n
+    domain, n, contexts = Ball(np.zeros(3), 1.0), 25, [4, 0, 9][:k]
+    starts = np.array(STARTS[3][:k], order=order)
+    batch = driver.sample_exits(domain, starts, sampler, n, seed=6, context=contexts)
+    assert len(batch) == k * n
     for i, (theta, context) in enumerate(zip(starts, contexts)):
         one = driver.sample_exits(domain, theta, sampler, n, seed=6, context=context)
         assert_same_exits(rows_of(batch, i * n, (i + 1) * n), one)

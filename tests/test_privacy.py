@@ -128,9 +128,11 @@ def test_first_replication_stable_as_count_grows():
 
 
 def test_workers_do_not_change_reports():
-    scn = disk_scenario([0.2, -0.3], 23)
-    a = run_attacks(scn, seed=1, replications=8, workers=1)
-    b = run_attacks(scn, seed=1, replications=8, workers=4)
+    # 40 x 23 trips: four brownian stream groups
+    house = [0.2, -0.3]
+    a = run_attacks(disk_scenario(house, 23, BrownianConfig(dt=1e-2)), seed=1, replications=40)
+    b = run_attacks(disk_scenario(house, 23, BrownianConfig(dt=1e-2, workers=4)), seed=1,
+                    replications=40)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.estimate, rb.estimate)
         assert ra.error == rb.error

@@ -2,8 +2,8 @@
 
 ``perfbench/spans.py`` times the kernels by replacing
 ``brownian.simulate_exit_batch``, ``wos.wos_exit_batch`` and
-``ball.sample_exact_batch`` on their modules, and reads the ``n`` and
-``workers`` arguments of ``driver.sample_exits`` by name. A dispatch that
+``ball.sample_exact_batch`` on their modules, and reads the ``n``
+argument of ``driver.sample_exits`` by name. A dispatch that
 held the kernel functions themselves would run past those wrappers and
 leave every per-layer kernel metric at zero, so this runs a traced
 ``table1`` per method in a fresh process, as the benchmark does.
