@@ -1,7 +1,8 @@
 """Discretized Brownian motion run to its first exit from a domain.
 
 The walk is X_{k+1} = X_k + sqrt(dt) * G_k with standard Gaussian
-increments, stopped at the first position outside the closed domain.
+increments, stopped at the first position not strictly inside the open
+domain (a step that lands on the boundary exits there, with t = 1).
 The recorded exit is the segment-boundary crossing between the last
 inside and first outside positions, with the exit time interpolated at
 the crossing parameter — accepting the raw outside point would bias the
@@ -165,11 +166,11 @@ def _walk(domain: Domain, X: np.ndarray, cfg: BrownianConfig, seed: int,
         path[:, 0, :] += X[alive]
         np.cumsum(path, axis=1, out=path)
 
-        out_mask = domain.exited_many(path.reshape(-1, d)).reshape(live, width)
-        hit = out_mask.any(axis=1)
+        inside = domain.contains_many(path.reshape(-1, d)).reshape(live, width)
+        hit = ~inside.all(axis=1)
         if hit.any():
             rows = np.flatnonzero(hit)
-            j = np.argmax(out_mask[rows], axis=1)
+            j = np.argmin(inside[rows], axis=1)
             idx = alive[rows]
             prev = np.where((j == 0)[:, None], X[idx], path[rows, j - 1, :])
             points[idx], t = domain.crossing_many(prev, path[rows, j, :])

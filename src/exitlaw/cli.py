@@ -9,11 +9,12 @@ Four commands:
 
 Each flag and its default is declared once, in ``build_parser``. Each
 runner builds the library objects from the flags, and their types check
-every value before any sampling; a ``ValueError`` or ``RuntimeError``
-is one ``error:`` line and exit status 2. The CLI checks only what the
-command line alone gives a meaning: ``--dim`` against the CSV schema,
-the coordinates of ``--center``/``--theta``, ``--rho >= 0``, and every
-sampler's knobs, which the metadata line records whichever one runs.
+every value before any sampling; a ``ValueError`` or ``RuntimeError``,
+or an output file that cannot be written, is one ``error:`` line and
+exit status 2. The CLI checks only what the command line alone gives a
+meaning: ``--dim`` against the CSV schema, the coordinates of
+``--center``/``--theta``, ``--rho >= 0``, and every sampler's knobs,
+which the metadata line records whichever one runs.
 
 Output goes to a CSV (or aligned-text) file whose metadata lines embed
 the version, the seed, and the semantic configuration. Worker count,
@@ -274,7 +275,7 @@ def _write(ns: argparse.Namespace, text: str) -> str:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SystemExit(f"error: cannot write output file {path}: {exc}")
+        raise OSError(f"cannot write output file {path}: {exc}") from exc
     return path
 
 
@@ -359,11 +360,12 @@ def run(ns: argparse.Namespace) -> int:
     """Execute a parsed namespace; returns the process exit status.
 
     A ValueError or RuntimeError from the library, such as a value its
-    types refuse or a capped loop, is one ``error:`` line and status 2.
+    types refuse or a capped loop, and an output file that cannot be
+    written are one ``error:`` line and status 2.
     """
     try:
         return _RUNNERS[ns.command](ns)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

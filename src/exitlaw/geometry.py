@@ -11,6 +11,13 @@ need the start's distance from the center. A batch kernel takes one
 start per stream; ``start_runs`` splits its starts into runs of equal
 rows, so each distinct start is checked once on the scalar path.
 
+There is one boundary rule: a point has left the domain once it is not
+strictly inside it (``contains_many`` is False), as Brownian motion
+leaves an open set when it first meets the complement. Every sampler
+returns a point of the boundary up to rounding, and ``Ball`` refuses a
+ball whose float64 grid cannot place points within ``BOUNDARY_RTOL`` of
+its sphere, or whose squared radius is not a normal float64.
+
 All operations are dimension-generic; nothing in this module special
 cases d.
 """
@@ -23,14 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Relative tolerance, in units of the radius, within which a point
-#: counts as on a ball's sphere: ``Ball._land_on_boundary`` places points
-#: no farther off, and the Poisson kernel accepts query points this close.
+#: counts as on a ball's sphere: the Poisson kernel accepts query points
+#: this close. ``Ball`` refuses a ball whose float64 grid is coarser, so
+#: a projection onto its sphere lands this close too.
 BOUNDARY_RTOL = 1e-9
-
-#: Most nudges ``Ball._land_on_boundary`` makes to push a point off the
-#: open ball before it gives up. Each moves the point about one step of
-#: the float64 grid around the ball; Tier-1 never needs more than 3.
-MAX_NUDGES = 64
 
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
@@ -96,10 +99,6 @@ class Domain(abc.ABC):
         """Boolean mask: rows strictly inside the open domain."""
 
     @abc.abstractmethod
-    def exited_many(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask: rows strictly outside the closed domain."""
-
-    @abc.abstractmethod
     def distance_to_boundary_many(self, pts: np.ndarray) -> np.ndarray:
         """Euclidean distance from each interior row to the boundary."""
 
@@ -109,7 +108,8 @@ class Domain(abc.ABC):
 
     @abc.abstractmethod
     def crossing_many(self, inside: np.ndarray, outside: np.ndarray):
-        """Boundary crossings of segments inside->outside.
+        """Boundary crossings of segments inside->outside, where "outside"
+        means not strictly inside (a boundary point is outside).
 
         Returns (points, t) where points[i] lies on the boundary and
         t[i] in (0, 1] is the segment parameter of the crossing.
@@ -135,8 +135,18 @@ class Ball(Domain):
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        r = self.radius
+        if not np.isfinite(r) or r <= 0:
+            raise ValueError(f"radius must be positive and finite, got {r}")
+        # |x - c|^2 < r^2 is the membership test: r^2 must be a normal float64
+        if not np.finfo(np.float64).tiny <= r * r < np.inf:
+            raise ValueError(f"radius {r:g} is out of range: its square is not a normal "
+                             f"float64, so |x - c|^2 < r^2 cannot test membership")
+        grid = float(np.spacing(np.abs(c).max() + r))
+        if grid > BOUNDARY_RTOL * r:
+            raise ValueError(f"cannot place points on the sphere of center {c} and radius "
+                             f"{r:g}: float64 points there are spaced {grid:.3g} apart, more "
+                             f"than the {BOUNDARY_RTOL * r:.3g} a boundary point may lie off it")
 
     @property
     def dimension(self) -> int:
@@ -154,41 +164,6 @@ class Ball(Domain):
             raise ValueError(f"{name} {q} is not strictly inside the ball")
         return q, rho
 
-    def _land_on_boundary(self, v, rho):
-        """Map interior offsets v (rows, with norms rho > 0) radially onto
-        the sphere, guaranteeing the result is NOT strictly inside.
-
-        The rounded ``c + (r/rho) v`` can fall a last-bit inside the open
-        ball, which would make ``contains_many`` accept a "boundary"
-        point; nudge the scale up until the open-set test rejects it.
-        Each nudge moves the point about one step of the float64 grid
-        around the ball, spacing(max|c| + r): one ulp of the scale for a
-        ball centered at the origin, ~|c|/r ulps far from it, so a few
-        nudges do at any center. Raises RuntimeError when a point needs
-        a nudge on a grid coarser than ``BOUNDARY_RTOL`` of the radius,
-        which cannot hold it that close to the sphere, or after
-        ``MAX_NUDGES`` nudges.
-        """
-        r = self.radius
-        grid = float(np.spacing(np.abs(self.center).max() + r))
-        ulps = max(1.0, np.floor(grid / (r * np.spacing(1.0))))
-        coarse = grid > BOUNDARY_RTOL * r
-        s = r / rho
-        for _ in range(MAX_NUDGES + 1):
-            q = self.center + v * s[:, None]
-            w = q - self.center
-            bad = np.einsum("ij,ij->i", w, w) < r * r
-            if not bad.any():
-                return q
-            if coarse:
-                break
-            s = np.where(bad, s + ulps * np.spacing(s), s)
-        why = (f"float64 points there are spaced {grid:.3g} apart, more than the "
-               f"{BOUNDARY_RTOL * r:.3g} a boundary point may lie off it" if coarse
-               else f"{MAX_NUDGES} nudges left them inside the open ball")
-        raise RuntimeError(f"cannot place {int(bad.sum())} point(s) on the sphere of center "
-                           f"{self.center} and radius {r:g}: {why}")
-
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -196,11 +171,6 @@ class Ball(Domain):
         pts = self._check_batch(pts)
         v = pts - self.center
         return np.einsum("ij,ij->i", v, v) < self.radius * self.radius
-
-    def exited_many(self, pts):
-        pts = self._check_batch(pts)
-        v = pts - self.center
-        return np.einsum("ij,ij->i", v, v) > self.radius * self.radius
 
     def distance_to_boundary_many(self, pts):
         pts = self._check_batch(pts)
@@ -216,7 +186,7 @@ class Ball(Domain):
             v = v.copy()
             v[tie, 0] = 1.0
             rho = np.where(tie, 1.0, rho)
-        return self._land_on_boundary(v, rho)
+        return self.center + v * (self.radius / rho)[:, None]
 
     def crossing_many(self, inside, outside):
         a = self._check_batch(inside) - self.center
@@ -269,10 +239,6 @@ class BoxDomain(Domain):
     def contains_many(self, pts):
         pts = self._check_batch(pts)
         return np.all((pts > self.lower) & (pts < self.upper), axis=1)
-
-    def exited_many(self, pts):
-        pts = self._check_batch(pts)
-        return np.any((pts < self.lower) | (pts > self.upper), axis=1)
 
     def distance_to_boundary_many(self, pts):
         pts = self._check_batch(pts)

@@ -25,7 +25,8 @@ cipher, chosen only by how many words each stream asks for:
 
 * wide (fewer than ``NARROW_WORDS`` words per stream, e.g. one hop or
   proposal for many walks): plain vectorized numpy on uint64 across all
-  streams and blocks at once.
+  streams and blocks at once, in passes of whole streams that bound its
+  scratch memory.
 * narrow (``NARROW_WORDS`` or more, e.g. a block of Brownian steps):
   numpy's C ``numpy.random.Philox``, one stream at a time. Its counter is
   a 256-bit integer (limbs little-endian) that it increments *before*
@@ -58,9 +59,11 @@ _ALL_ONES = (1 << 64) - 1
 _M0_HI, _M0_LO = _U64(int(_M0) >> 32), _M0 & _MASK32
 _M1_HI, _M1_LO = _U64(int(_M1) >> 32), _M1 & _MASK32
 
-# Cap on elements per internal chunk of the wide path: keeps peak scratch
-# memory ~tens of MB no matter how large a request is.
-_CHUNK_WORDS = 1 << 22
+# Most (stream, block) pairs one pass of the wide path enciphers. The
+# cipher holds about ten uint64 arrays of that many elements, so a pass
+# needs ~40 MB of scratch however many streams a request names; a
+# request is split into passes over whole streams.
+_CHUNK_BLOCKS = 1 << 19
 
 # Words per stream from which a request takes the narrow path. Measured
 # on a 2-core Xeon, numpy 2.4, for 500 streams: the paths tie at 256
@@ -156,14 +159,10 @@ def raw_words(seed: int, stream_ids, substream: int, start: int, count: int) -> 
     if count >= NARROW_WORDS:
         _fill_narrow(seed, ids, substream, start, count, out)
         return out[0] if scalar else out
-    done = 0
-    while done < count:
-        step = count - done
-        if m * step > _CHUNK_WORDS:
-            step = max(_CHUNK_WORDS // max(m, 1), 4)
-            step = min(step, count - done)
-        _fill_words(seed, ids, substream, start + done, step, out[:, done : done + step])
-        done += step
+    nblocks = ((start + count + 3) >> 2) - (start >> 2)
+    rows = max(_CHUNK_BLOCKS // max(nblocks, 1), 1)
+    for lo in range(0, m, rows):
+        _fill_words(seed, ids[lo : lo + rows], substream, start, count, out[lo : lo + rows])
     return out[0] if scalar else out
 
 

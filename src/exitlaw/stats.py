@@ -54,7 +54,14 @@ def summarize(samples) -> SummaryStats:
     if n < 2:
         return SummaryStats(n=n, mean=mu, trace=np.nan,
                             mean_se=np.full(d, np.nan), trace_se=np.nan)
+    # |Y_j - mean|^4 leaves float64 from |Y_j - mean| ~ 1e77 on (and
+    # underflows below ~1e-77): the moments are taken of dev / 2^e, with
+    # max |dev / 2^e| in [0.5, 1), and scaled back by powers of two, so
+    # each value is bit for bit the unscaled one wherever that one neither
+    # overflows nor underflows.
     dev = pts - mu
+    e = int(np.frexp(np.abs(dev).max())[1])
+    dev = np.ldexp(dev, -e)
     var = np.diag(dev.T @ dev) / (n - 1)
     # Sample variance of W_j = |Y_j - mean|^2 for the delta-method trace SE.
     w = np.einsum("ij,ij->i", dev, dev)
@@ -64,9 +71,9 @@ def summarize(samples) -> SummaryStats:
     return SummaryStats(
         n=n,
         mean=mu,
-        trace=float(var.sum()),
-        mean_se=np.sqrt(var / n),
-        trace_se=float(bias * np.sqrt(var_w / n)),
+        trace=float(np.ldexp(var.sum(), 2 * e)),
+        mean_se=np.ldexp(np.sqrt(var / n), e),
+        trace_se=float(np.ldexp(bias * np.sqrt(var_w / n), 2 * e)),
     )
 
 

@@ -46,6 +46,27 @@ def test_exit_points_on_boundary():
         assert resid.max() <= 1e-9 * domain.diameter()
 
 
+@pytest.mark.parametrize("domain, start, exit_point", [
+    (BALL2, (0.5, 0.0), (1.0, 0.0)),
+    (BoxDomain((0.0, 0.0), (1.0, 1.0)), (0.5, 0.5), (1.0, 0.5)),
+])
+def test_step_landing_on_the_boundary_exits_there(monkeypatch, domain, start, exit_point):
+    # Brownian motion leaves an open set when it first meets the
+    # complement: a step of sqrt(0.25) * (1, 0) that lands exactly on the
+    # boundary is the exit, at crossing parameter t = 1
+    def gaussians(seed, ids, start, count, substream=rng.TAG_GAUSS):
+        g = np.zeros((len(ids), count))
+        if start == 0:
+            g[:, 0] = 1.0
+        return g
+
+    monkeypatch.setattr(rng, "gaussian_values", gaussians)
+    batch = simulate_exit_batch(domain, np.array(start), BrownianConfig(dt=0.25), 0, ids(3))
+    assert (batch.points == exit_point).all()
+    assert (batch.steps == 1).all()
+    assert (batch.exit_times == 0.25).all()
+
+
 def test_block_width_does_not_change_results(monkeypatch):
     # Ball at d=2; box at d=3, where 7 and 255 words give odd requests with
     # odd Gaussian offsets. Width d is one step per block, so every exit
@@ -229,8 +250,8 @@ def test_default_step_cap_scales_with_diameter_and_dt():
     # a cap beyond 2^62 steps names dt and the diameter instead of clipping
     with pytest.raises(ValueError, match=r"dt=4\.94066e-324 .* diameter 2: .* exceeds 2\^62"):
         BrownianConfig(dt=5e-324).resolve_max_steps(BALL2)
-    with pytest.raises(ValueError, match=r"dt=0\.0001 .* diameter 2e\+200: .* = inf"):
-        BrownianConfig().resolve_max_steps(Ball(np.zeros(2), 1e200))
+    with pytest.raises(ValueError, match=r"dt=1e-10 .* diameter 2e\+150: .* = inf"):
+        BrownianConfig(dt=1e-10).resolve_max_steps(Ball(np.zeros(2), 1e150))
 
 
 def test_theta_must_be_interior():

@@ -11,9 +11,11 @@ command's engine is tested in the module-specific files.
 import argparse
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -550,12 +552,23 @@ def test_output_dir_env_var_names_default_file(tmp_path, monkeypatch, capsys):
     assert str(tmp_path / "kernel_check.csv") in capsys.readouterr().out
 
 
-def test_unwritable_out_path_reports_path(tmp_path):
+def test_unwritable_out_path_reports_path(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "run.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["kernel-check", "--dim", "2", "--out", str(target)])
-    assert "cannot write output file" in str(exc.value)
-    assert str(target) in str(exc.value)
+    assert main(["kernel-check", "--dim", "2", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot write output file" in err and str(target) in err
+
+
+def test_exact_sample_at_radius_1e100_has_a_finite_trace_se(tmp_path):
+    # |Y - mean|^4 ~ 1e400 there: the trace SE must not overflow to inf
+    # (which would score z_trace 0 and pass the trace check vacuously)
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(f"sample --method exact --radius 1e100 --n 200 --out {out}".split()) == 0
+    row = dict(zip(cli.SAMPLING_HEADER, out.read_text().splitlines()[-1].split(",")))
+    assert math.isfinite(float(row["trace_se"])) and float(row["z_trace"]) != 0.0
 
 
 def test_runtime_errors_exit_2(capsys):
@@ -591,13 +604,13 @@ def test_brownian_step_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
 
 
 def test_brownian_step_cap_beyond_2_62_exits_2_with_one_line(tmp_path, capsys):
-    # 100 D^2 / dt overflows float64 at radius 1e200
-    status = main(["sample", "--method", "brownian", "--radius", "1e200", "--n", "5",
-                   "--out", str(tmp_path / "s.csv")])
+    # 100 D^2 / dt overflows float64 at radius 1e150 and dt 1e-10
+    status = main(["sample", "--method", "brownian", "--radius", "1e150", "--dt", "1e-10",
+                   "--n", "5", "--out", str(tmp_path / "s.csv")])
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "dt=0.0001" in err and "diameter 2e+200" in err
+    assert "dt=1e-10" in err and "diameter 2e+150" in err
     assert "Traceback" not in err
 
 
@@ -614,7 +627,7 @@ def test_sphere_redraw_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
 
 
 def test_far_center_coarse_grid_exits_2_with_one_line(tmp_path, capsys):
-    # near 1e12 float64 cannot place an absorbed walk's exit near the sphere
+    # near 1e12 float64 cannot place an exit near the unit sphere: Ball refuses it
     out = tmp_path / "s.csv"
     argv = ("sample --method wos --center 1000000000000,0 --radius 1 "
             "--theta 1000000000000,0.5 --n 20").split()
@@ -623,9 +636,24 @@ def test_far_center_coarse_grid_exits_2_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ball, fragment", [
+    ("--center 1000000000000,0 --radius 1", "float64 points there are spaced"),
+    ("--radius 1e160", "its square is not a normal float64"),
+    ("--radius 1e-160", "its square is not a normal float64"),
+])
+@pytest.mark.parametrize("command", ["sample --method brownian", "sample --method wos",
+                                     "sample --method exact", "privacy"])
+def test_ball_float64_cannot_hold_exits_2_with_one_line(tmp_path, capsys, command, ball,
+                                                        fragment):
+    out = tmp_path / "s.csv"
+    assert exit_status(f"{command} {ball}".split(), out) == 2
+    assert_one_line_error(capsys.readouterr().err, fragment)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", ["--method wos", "--method brownian --dt 1e-3"])
 def test_off_origin_ball_samples(tmp_path, extra):
-    # |c|/r = 1000: every exit needs the grid-sized nudge to land
+    # |c|/r = 1000: the float64 grid there is 512 ulps of the radius
     out = tmp_path / "s.csv"
     argv = f"sample {extra} --center 1000,0 --radius 1 --theta 1000.5,0 --n 200".split()
     assert exit_status(argv, out) == 0

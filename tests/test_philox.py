@@ -87,11 +87,34 @@ def test_random_access_is_consistent():
 
 
 def test_chunked_fill_matches_single_fill(monkeypatch):
+    # 200 words from word 2 span 51 blocks: a budget of 64 is one stream a pass
     ids = np.arange(5, dtype=U64)
-    whole = philox.raw_words(3, ids, 1, 2, 963)
-    monkeypatch.setattr(philox, "_CHUNK_WORDS", 64)
-    chunked = philox.raw_words(3, ids, 1, 2, 963)
+    whole = philox.raw_words(3, ids, 1, 2, 200)
+    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", 64)
+    chunked = philox.raw_words(3, ids, 1, 2, 200)
     assert np.array_equal(whole, chunked)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 255])
+def test_wide_path_fills_whole_streams_within_the_block_budget(monkeypatch, count):
+    calls = []
+    fill = philox._fill_words
+
+    def spy(seed, ids, substream, start, count, out):
+        calls.append((ids.copy(), count, out.shape))
+        fill(seed, ids, substream, start, count, out)
+
+    ids = np.arange(1000, dtype=U64)
+    want = philox.raw_words(3, ids, 2, 5, count)
+    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", 300)
+    monkeypatch.setattr(philox, "_fill_words", spy)
+    assert np.array_equal(philox.raw_words(3, ids, 2, 5, count), want)
+    nblocks = ((5 + count + 3) >> 2) - (5 >> 2)
+    assert len(calls) > 1
+    assert np.array_equal(np.concatenate([c[0] for c in calls]), ids)
+    for part, words, shape in calls:
+        assert words == count and shape == (part.size, count)
+        assert part.size * nblocks <= 300
 
 
 def test_vectorized_matches_scalar_streams():
@@ -178,7 +201,7 @@ def test_chunking_leaves_both_paths_unchanged(monkeypatch):
     ids = np.arange(300, dtype=U64)
     want = philox.raw_words(3, ids, 2, 5, 100)           # wide, one chunk
     long = philox.raw_words(3, ids[:4], 2, 5, 700)       # narrow
-    monkeypatch.setattr(philox, "_CHUNK_WORDS", 64)
-    assert np.array_equal(philox.raw_words(3, ids, 2, 5, 100), want)  # chunks of 4 words
+    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", 64)
+    assert np.array_equal(philox.raw_words(3, ids, 2, 5, 100), want)  # 2 streams a pass
     assert np.array_equal(philox.raw_words(3, ids[:4], 2, 5, 700), long)
     assert np.array_equal(long[:, :100], want[:4])

@@ -43,6 +43,18 @@ def test_trace_se_does_not_depend_on_where_the_ball_sits():
     assert far.trace == pytest.approx(near.trace, rel=1e-6)
 
 
+@pytest.mark.parametrize("power", [-500, -250, 250, 500])
+def test_summary_scales_by_powers_of_two_exactly(power):
+    # |Y - mean|^4 would pass float64 (or underflow) at these scales; the
+    # summary of 2^k Y is 2^k times that of Y in every bit
+    pts = np.random.default_rng(4).normal(size=(500, 3))
+    unit, scaled = summarize(pts), summarize(np.ldexp(pts, power))
+    assert np.array_equal(scaled.mean, np.ldexp(unit.mean, power))
+    assert np.array_equal(scaled.mean_se, np.ldexp(unit.mean_se, power))
+    assert scaled.trace == np.ldexp(unit.trace, 2 * power)
+    assert scaled.trace_se == np.ldexp(unit.trace_se, 2 * power)
+
+
 def test_summarize_input_forms():
     batch = sample_exact_batch(Ball(np.zeros(2), 1.0), np.array([0.3, 0.0]), ExactConfig(),
                                0, np.arange(50, dtype=np.uint64))
