@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rng
 from .exits import ExitBatch
-from .geometry import BOUNDARY_RTOL, Ball, Domain, start_runs
+from .geometry import BOUNDARY_RTOL, Ball, Domain
 
 #: sample_exact_batch refuses starts with rho/r beyond this; walk on
 #: spheres serves them.
@@ -212,25 +212,31 @@ class MaxProposalsExceeded(RuntimeError):
             f"per sample). Use the walk-on-spheres sampler for this start.")
 
 
-def _exact_start(ball: Ball, theta) -> tuple[np.ndarray, float, float, float]:
-    """(a, power, peak, envelope) of one start of the exact sampler.
+def _exact_starts(ball: Ball, starts: np.ndarray):
+    """(a, power, peak, envelope) of the exact sampler's (k, d) starts.
 
-    a = (theta - c)/r is the start in unit coordinates, power = 1 -
-    (rho/r)^2, and peak the |u + a| at which the accept ratio peaks
-    (see ``sample_exact_batch``). Raises ValueError for a start closer
-    to the boundary than MAX_RHO_FRACTION allows.
+    a (k, d) holds the starts in unit coordinates (theta - c)/r; power,
+    peak and envelope hold one value per start: power = 1 - (rho/r)^2,
+    peak the |u + a| at which the accept ratio peaks (see
+    ``sample_exact_batch``) and envelope M = peak^(2-d), the ratio
+    there (``rejection_envelope`` up to rounding). Raises ValueError for
+    a start closer to the boundary than MAX_RHO_FRACTION allows.
     """
-    theta, rho = ball.radial_point(theta, "theta")
-    if rho / ball.radius > MAX_RHO_FRACTION:
-        raise ValueError(
-            f"theta is within {ball.radius - rho:.3g} of the boundary, closer than "
-            f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
-            f"M = {rejection_envelope(ball, theta):.3g} proposals per sample). "
-            f"Use the walk-on-spheres sampler for near-boundary starts.")
     r = ball.radius
+    rho = np.array([ball.radial_point(p, "theta")[1] for p in starts])
     gap = (r - rho) / r                                   # 1 - rho/r
     peak = gap if ball.dimension >= 2 else 2.0 - gap
-    return (theta - ball.center) / r, gap * (2.0 - gap), peak, rejection_envelope(ball, theta)
+    with np.errstate(over="ignore"):   # an M beyond float64 is inf, which the cap refuses
+        envelope = peak ** (2 - ball.dimension)
+    far = np.flatnonzero(rho / r > MAX_RHO_FRACTION)
+    if far.size:
+        i = far[0]
+        raise ValueError(
+            f"theta is within {r - rho[i]:.3g} of the boundary, closer than "
+            f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
+            f"M = {envelope[i]:.3g} proposals per sample). "
+            f"Use the walk-on-spheres sampler for near-boundary starts.")
+    return (starts - ball.center) / r, gap * (2.0 - gap), peak, envelope
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,9 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
                        stream_ids) -> ExitBatch:
     """Exact exit samples by Moebius-proposal rejection, one stream per row.
 
-    theta is one start for every stream or an (m, d) array of one start
-    per stream; the constants of each distinct start are computed once.
+    theta is one start (d,) with stream ids (n,), or k starts (k, d)
+    with a (k, n) stream grid whose row i holds start i's streams; rows
+    come in ``ravel`` order, and each start's constants are computed once.
     Proposal t of a stream maps the uniform direction u read from its
     Gaussian words [t*d, (t+1)*d) to y (module docstring) and accepts y
     when uniform word t is below (|u + a| / peak)^(2-d), with peak =
@@ -261,17 +268,15 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     """
     if not isinstance(ball, Ball):
         raise ValueError("the exact sampler is defined for balls only")
-    ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
-    m, d = ids.shape[0], ball.dimension
+    starts, grid = ball.interior_starts(theta, stream_ids)
+    ids = grid.ravel()
+    m, n, d = ids.shape[0], grid.shape[1], ball.dimension
+    single = len(starts) == 1   # then its constants broadcast over all rows, uncopied
     r, c = ball.radius, ball.center
-    firsts, counts = start_runs(theta, m)
-    consts = [_exact_start(ball, p) for p in firsts]
-    ends = np.cumsum(counts)
-    for (*_, envelope), lo, hi in zip(consts, ends - counts, ends):
-        if envelope > MAX_PROPOSALS:
-            raise MaxProposalsExceeded(0, envelope, ids[lo:hi])
-    # (a, power, peak, envelope) of each run of equal starts, one row each
-    table = np.array([(*a, *rest) for a, *rest in consts])
+    a, power, peak, envelope = _exact_starts(ball, starts)
+    over = np.flatnonzero(envelope > MAX_PROPOSALS)
+    if over.size:
+        raise MaxProposalsExceeded(0, envelope[over[0]], grid[over[0]])
 
     points = np.empty((m, d))
     steps = np.empty(m, dtype=np.int64)
@@ -279,30 +284,24 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     t = 0
     while alive.size:
         live = alive.size
-        # the constants of each live stream, one row each: runs are
-        # contiguous and alive is sorted, so run j's live streams are a
-        # block of alive. One start keeps its one row, which broadcasts.
-        if len(table) == 1:
-            here = table
-        else:
-            here = np.repeat(table, np.diff(np.searchsorted(alive, ends), prepend=0), axis=0)
+        own = slice(None) if single else alive // n   # each live row's start
         if t >= MAX_PROPOSALS:
-            raise MaxProposalsExceeded(t, here[:, d + 2].max(), ids[alive])
+            raise MaxProposalsExceeded(t, envelope[own].max(), ids[alive])
         # Proposals [t, t + K) of every live stream from one request each
         # for the Gaussian and uniform words; a row keeps its first accept.
         k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
-        v = rng.sphere_rows(seed, ids[alive], t * d, d, rounds=k) + here[:, None, :d]
+        v = rng.sphere_rows(seed, ids[alive], t * d, d, rounds=k) + a[own, None, :]
         v = v.reshape(-1, d)
         s2 = np.einsum("ij,ij->i", v, v)
-        accept_p = (np.sqrt(s2).reshape(live, k) / here[:, d + 1, None]) ** (2 - d)
+        accept_p = (np.sqrt(s2).reshape(live, k) / peak[own, None]) ** (2 - d)
         acc = rng.uniform_values(seed, ids[alive], t, k) < accept_p
         hit = acc.any(axis=1)
         if hit.any():
             rows = np.flatnonzero(hit)
             j = np.argmax(acc[rows], axis=1)
             pick = rows * k + j
-            at = here if len(here) == 1 else here[rows]
-            y = at[:, :d] + v[pick] * (at[:, d] / s2[pick])[:, None]
+            at = own if single else own[rows]
+            y = a[at] + v[pick] * (power[at] / s2[pick])[:, None]
             y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
             idx = alive[rows]
             points[idx] = c + r * y

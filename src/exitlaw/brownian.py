@@ -105,19 +105,20 @@ class MaxStepsExceeded(RuntimeError):
 
 def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
                         stream_ids) -> ExitBatch:
-    """Exit samples for one stream per row of ``stream_ids``.
+    """Exit samples for every stream of ``stream_ids``, in ``ravel`` order.
 
-    theta is one start for every stream or an (m, d) array of one start
-    per stream. Step k of a stream reads Gaussian words [k*d, (k+1)*d)
-    of it. The streams are walked in groups of at most
-    ``_GROUP_STREAMS`` on up to ``cfg.workers`` threads; a walk never
-    depends on the others, so neither changes a bit. Raises
-    MaxStepsExceeded, carrying the pending walks of the first group (in
-    row order) that reaches the step cap.
+    theta is one start (d,) with stream ids (n,), or k starts (k, d)
+    with a (k, n) stream grid whose row i holds start i's streams. Step
+    k of a stream reads Gaussian words [k*d, (k+1)*d) of it. The streams
+    are walked in groups of at most ``_GROUP_STREAMS`` on up to
+    ``cfg.workers`` threads; a walk never depends on the others, so
+    neither changes a bit. Raises MaxStepsExceeded, carrying the pending
+    walks of the first group (in row order) that reaches the step cap.
     """
-    ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
+    starts, grid = domain.interior_starts(theta, stream_ids)
+    ids = grid.ravel()
     m, d = ids.shape[0], domain.dimension
-    starts = domain.interior_rows(theta, m)
+    X = np.repeat(starts, grid.shape[1], axis=0)
     step_cap = cfg.resolve_max_steps(domain)
 
     points = np.empty((m, d))
@@ -125,7 +126,7 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     steps = np.empty(m, dtype=np.int64)
 
     def walk(group: slice) -> None:
-        _walk(domain, starts[group], cfg, seed, ids[group], step_cap,
+        _walk(domain, X[group], cfg, seed, ids[group], step_cap,
               points[group], steps[group], times[group])
 
     groups = [slice(lo, lo + _GROUP_STREAMS) for lo in range(0, m, _GROUP_STREAMS)]

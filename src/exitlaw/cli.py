@@ -13,8 +13,9 @@ every value before any sampling; a ``ValueError`` or ``RuntimeError``,
 or an output file that cannot be written, is one ``error:`` line and
 exit status 2. The CLI checks only what the command line alone gives a
 meaning: ``--dim`` against the CSV schema, the coordinates of
-``--center``/``--theta``, ``--rho >= 0``, and every sampler's knobs,
-which the metadata line records whichever one runs.
+``--center``/``--theta``, ``--rho >= 0``, ``--workers >= 1`` for every
+command, and every sampler's knobs, which the metadata line records
+whichever one runs.
 
 Output goes to a CSV (or aligned-text) file whose metadata lines embed
 the version, the seed, and the semantic configuration. Worker count,
@@ -169,6 +170,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         ns = parser.parse_args(argv[:1] + _config_flags(ns.config, cmd) + argv[1:])
 
     err = cmd.error
+    if ns.workers < 1:  # every command takes it, whether or not it runs threads
+        err(f"workers must be >= 1, got {ns.workers}")
     if "method" in ns:  # the metadata line records every sampler's knobs
         for method in driver.SAMPLERS:
             try:

@@ -4,19 +4,20 @@ Each sampler is named by a method and configured by one frozen config
 type: ``SAMPLERS`` maps ``brownian`` to ``BrownianConfig``, ``wos`` to
 ``WosConfig`` and ``exact`` to the knob-free ``ExactConfig``. Every
 batch kernel is called as ``kernel(domain, theta, cfg, seed,
-stream_ids)``, with theta one start for every stream or one row per
-stream; ``sample_exits`` takes a config and runs the kernel of its
+stream_ids)``, with theta one start (d,) and its stream ids (n,), or k
+starts (k, d) and a (k, n) stream grid whose row i holds start i's
+streams; ``sample_exits`` takes a config and runs the kernel of its
 type; ``sampler_config`` builds the config of a named method from the
 command line's knobs.
 
 Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
 disjoint id block under the run seed. ``sample_exits`` serves k starts
-on one domain in one lockstep batch, one context per start, so a
-kernel pays its per-round cost once for all of them. Every sample reads
-only its own stream, so the output is a pure function of (config, seed,
-contexts, n) however starts are grouped into calls. Only the brownian
-kernel uses threads (``BrownianConfig.workers``).
+on one domain in one lockstep batch, one distinct context per start,
+so a kernel pays its per-round cost once for all of them. Every sample
+reads only its own stream, so the output is a pure function of
+(config, seed, contexts, n) however starts are grouped into calls. Only
+the brownian kernel uses threads (``BrownianConfig.workers``).
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
                  context: int | Sequence[int] = 0) -> ExitBatch:
     """Draw n exit samples per start with the given sampler config.
 
-    theta is one start (d,) with one ``context``, or k starts (k, d) with
-    a length-k sequence of contexts. Start i draws sample j from stream
-    j of context i. The batch holds k*n rows ordered by start, so rows
+    theta is one start (d,) with one ``context``, or k >= 1 starts (k, d)
+    with k distinct contexts. Start i draws sample j from stream j of
+    context i. The batch holds k*n rows ordered by start, so rows
     [i*n, (i+1)*n) are start i's, byte-equal to a one-start call.
     """
     method_of(sampler)  # a ValueError unless a sampler config
@@ -99,9 +100,13 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
         raise ValueError("need one context per start: an int for one (d,) start, a "
                          f"sequence of k for k (k, d) starts; got context {context!r} "
                          f"for starts of shape {starts.shape}")
-    if multi:
-        ids = np.concatenate([stream_block(int(c), n) for c in context])
-        starts = np.repeat(np.ascontiguousarray(starts), n, axis=0)
-    else:
-        ids = stream_block(context, n)
-    return kernel(domain, starts, sampler, seed, ids)
+    if not multi:
+        return kernel(domain, starts, sampler, seed, stream_block(context, n))
+    contexts = [int(c) for c in context]
+    if not contexts:
+        raise ValueError(f"need at least one start, got starts of shape {starts.shape}")
+    if len(set(contexts)) < len(contexts):
+        raise ValueError(f"contexts must be distinct, or two starts share streams; "
+                         f"got {contexts}")
+    grid = np.stack([stream_block(c, n) for c in contexts])
+    return kernel(domain, starts, sampler, seed, grid)

@@ -7,9 +7,9 @@ use them; each validates the array shape once, since silent
 broadcasting is the classic failure mode of dimension-generic geometry.
 ``interior_point`` is the start-point check every sampler shares, and
 ``Ball.radial_point`` the one of the ball's closed forms, which also
-need the start's distance from the center. A batch kernel takes one
-start per stream; ``start_runs`` splits its starts into runs of equal
-rows, so each distinct start is checked once on the scalar path.
+need the start's distance from the center. A batch kernel takes its
+streams grouped by start; ``interior_starts`` pairs the starts with
+their stream grid and checks each start once on the scalar path.
 
 There is one boundary rule: a point has left the domain once it is not
 strictly inside it (``contains_many`` is False), as Brownian motion
@@ -48,26 +48,6 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     return q
 
 
-def start_runs(theta, m: int) -> tuple[list, np.ndarray]:
-    """The starts of m streams as runs of equal consecutive rows.
-
-    theta is one point for every stream or an (m, d) array whose row i
-    is the start of stream i. Returns the first row of each run and the
-    run lengths, which sum to m; rows are compared bit for bit. Rows are
-    not checked here: each caller checks the distinct starts it gets.
-    """
-    rows = np.array(theta, dtype=np.float64, order="C")
-    if rows.ndim < 2:
-        return [rows], np.array([m])
-    if rows.ndim != 2 or rows.shape[0] != m:
-        raise ValueError(f"starts must be one point or one row per stream, (m, d) = "
-                         f"({m}, d), got shape {rows.shape}")
-    bits = rows.view(np.uint64)
-    new = np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1)))
-    first = np.flatnonzero(new[:m])
-    return list(rows[first]), np.diff(np.append(first, m))
-
-
 class Domain(abc.ABC):
     """A bounded open regular domain in R^d."""
 
@@ -80,15 +60,24 @@ class Domain(abc.ABC):
             raise ValueError(f"{name} {q} is not strictly inside the domain")
         return q
 
-    def interior_rows(self, theta, m: int) -> np.ndarray:
-        """One start per stream as a C-ordered (m, d) array, each checked.
+    def interior_starts(self, theta, stream_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The checked starts (k, d) and their stream grid (k, n).
 
-        theta is one point or an (m, d) array (see ``start_runs``); every
-        distinct start passes ``interior_point`` once.
+        theta is one start (d,) with stream ids (n,), or k starts (k, d)
+        with a (k, n) grid whose row i holds start i's streams. Every
+        start passes ``interior_point`` once; the starts come back
+        C-ordered, one row each.
         """
-        firsts, counts = start_runs(theta, m)
-        checked = np.array([self.interior_point(p) for p in firsts])
-        return np.repeat(checked.reshape(-1, self.dimension), counts, axis=0)
+        starts = np.asarray(theta, dtype=np.float64)
+        grid = np.asarray(stream_ids, dtype=np.uint64)
+        if starts.ndim == 1 and grid.ndim <= 1:
+            starts, grid = starts[None, :], grid.reshape(1, -1)
+        elif not (starts.ndim == grid.ndim == 2 and starts.shape[0] == grid.shape[0]):
+            raise ValueError(f"starts and stream ids must pair up, one (d,) start with (n,) "
+                             f"ids or k (k, d) starts with a (k, n) grid; got starts of "
+                             f"shape {starts.shape} and ids of shape {grid.shape}")
+        checked = np.array([self.interior_point(p) for p in starts])
+        return checked.reshape(-1, self.dimension), grid
 
     @abc.abstractmethod
     def diameter(self) -> float:

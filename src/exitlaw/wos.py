@@ -67,19 +67,21 @@ class MaxHopsExceeded(RuntimeError):
 
 def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
                    stream_ids) -> ExitBatch:
-    """Walk-on-spheres exits for one stream per row of ``stream_ids``.
+    """Walk-on-spheres exits for every stream of ``stream_ids``, in ``ravel`` order.
 
-    theta is one start for every stream or an (m, d) array of one start
-    per stream. Hop h of a stream reads its direction from Gaussian
-    words [h*d, (h+1)*d) of it and moves the walk by its distance to the
-    boundary along that direction. The live walks are kept compacted:
-    an absorbed walk leaves the position, distance and direction arrays,
-    and all absorbed points are projected onto the boundary at the end.
+    theta is one start (d,) with stream ids (n,), or k starts (k, d)
+    with a (k, n) stream grid whose row i holds start i's streams. Hop h
+    of a stream reads its direction from Gaussian words [h*d, (h+1)*d)
+    of it and moves the walk by its distance to the boundary along that
+    direction. The live walks are kept compacted: an absorbed walk
+    leaves the position, distance and direction arrays, and all absorbed
+    points are projected onto the boundary at the end.
     """
     eps = cfg.resolve_epsilon(domain)
-    ids = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
+    starts, grid = domain.interior_starts(theta, stream_ids)
+    ids = grid.ravel()
     m, d = ids.shape[0], domain.dimension
-    Y = domain.interior_rows(theta, m)
+    Y = np.repeat(starts, grid.shape[1], axis=0)
 
     hops = np.empty(m, dtype=np.int64)
     live = np.arange(m)        # batch row of each live walk

@@ -361,6 +361,14 @@ def test_envelope_above_cap_refused_before_drawing(monkeypatch):
     assert exc.value.stream_ids.size == 8
 
 
+def test_envelope_beyond_float64_is_refused_as_inf():
+    # M = 10^398 at d = 400, rho = 0.9: refused by the cap, not an overflow
+    theta = np.zeros(400)
+    theta[0] = 0.9
+    with pytest.raises(MaxProposalsExceeded, match=r"after 0 proposals .* M = inf"):
+        sample_exact_batch(unit_ball(400), theta, ExactConfig(), 1, np.arange(2, dtype=np.uint64))
+
+
 def test_exact_center_start_accepts_immediately():
     # at the center the kernel is uniform and M = 1: every proposal lands
     b = unit_ball(3)

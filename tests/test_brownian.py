@@ -169,8 +169,9 @@ def test_max_steps_carries_partial_state(monkeypatch):
 # threads over stream groups
 # ---------------------------------------------------------------------------
 
-#: 700 streams from three starts, one per stream: groups of 256, 256 and
-#: 188 streams, the first two straddling a change of start.
+#: 700 streams from three starts, one per stream (an (m, 1) stream grid):
+#: groups of 256, 256 and 188 streams, the first two straddling a change
+#: of start.
 THREE_STARTS = np.repeat([[0.2, 0.0], [0.5, 0.0], [0.3, -0.4]], [300, 250, 150], axis=0)
 
 
@@ -189,10 +190,10 @@ def test_config_rejects_workers_below_1(workers):
 def test_worker_threads_are_bit_identical(monkeypatch):
     monkeypatch.setattr(brownian.os, "cpu_count", lambda: 8)
     cfg = BrownianConfig(dt=1e-2)
-    want = simulate_exit_batch(BALL2, THREE_STARTS, cfg, 7, ids(700))
+    want = simulate_exit_batch(BALL2, THREE_STARTS, cfg, 7, ids(700)[:, None])
     for workers in (2, 3):
         got = simulate_exit_batch(BALL2, THREE_STARTS, replace(cfg, workers=workers), 7,
-                                  ids(700))
+                                  ids(700)[:, None])
         assert_same_exits(got, want)
 
 
@@ -233,7 +234,7 @@ def test_threaded_max_steps_names_the_serial_pending_walks(monkeypatch):
     for workers in (1, 3):
         with pytest.raises(MaxStepsExceeded) as err:
             simulate_exit_batch(BALL2, THREE_STARTS[:m], BrownianConfig(dt=1e-6, workers=workers),
-                                0, ids(m))
+                                0, ids(m)[:, None])
         errors.append(err.value)
     serial, threaded = errors
     assert np.array_equal(serial.stream_ids, ids(brownian._GROUP_STREAMS))

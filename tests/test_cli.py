@@ -118,7 +118,6 @@ def library_case(argv, fragment, subject):
     library_case("table1 --n 0", "need n >= 1 samples, got 0", "--n"),
     ("table1 --dt 0", "dt must be positive"),
     ("table1 --epsilon -1", "epsilon must be positive"),
-    library_case("table1 --workers 0", "workers must be >= 1, got 0", "--workers"),
     ("sample --dim 0", "--dim"),
     ("sample --dim 5", "CSV schema"),
     library_case("sample --radius -2", "radius must be positive and finite, got -2.0",
@@ -151,6 +150,16 @@ def test_out_of_range_values_exit_2(argv, fragment, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert exit_status(argv.split(), out) == 2
     assert_one_line_error(capsys.readouterr().err, fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["table1", "sample", "kernel-check", "privacy"])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_1_exit_2(command, workers, tmp_path, capsys):
+    # one check for every command, also the ones that run no threads
+    out = tmp_path / "out.csv"
+    assert exit_status([command, "--workers", str(workers)], out) == 2
+    assert_one_line_error(capsys.readouterr().err, f"workers must be >= 1, got {workers}")
     assert not out.exists()
 
 

@@ -154,19 +154,21 @@ def rows_of(batch, lo, hi):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("method", sorted(KERNELS))
 def test_multi_start_kernel_batch_equals_single_start_calls(monkeypatch, method, d, order):
-    # one start per stream: the (3n, d) batch is byte-equal to three
-    # one-start batches, also when brownian groups straddle two starts
+    # a (3, n) stream grid: the batch is byte-equal to three one-start
+    # batches, also when brownian groups straddle two starts, and to the
+    # (3n, 1) grid in which every stream is its own start
     monkeypatch.setattr(brownian, "_GROUP_STREAMS", 7)
     kernel, cfg = KERNELS[method]
     domain, n = Ball(np.zeros(d), 1.0), 30
-    starts = np.array(STARTS[d])
-    ids = np.concatenate([driver.stream_block(c, n) for c in (5, 0, 2)])
-    per_stream = np.array(np.repeat(starts, n, axis=0), order=order)
-    batch = kernel(domain, per_stream, cfg, 3, ids)
+    starts = np.array(STARTS[d], order=order)
+    grid = np.stack([driver.stream_block(c, n) for c in (5, 0, 2)])
+    batch = kernel(domain, starts, cfg, 3, grid)
     assert len(batch) == 3 * n
     for i, theta in enumerate(starts):
-        one = kernel(domain, theta, cfg, 3, ids[i * n:(i + 1) * n])
+        one = kernel(domain, theta, cfg, 3, grid[i])
         assert_same_exits(rows_of(batch, i * n, (i + 1) * n), one)
+    per_stream = kernel(domain, np.repeat(starts, n, axis=0), cfg, 3, grid.reshape(-1, 1))
+    assert_same_exits(per_stream, batch)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -209,8 +211,23 @@ def test_starts_and_contexts_must_pair_up():
             driver.sample_exits(DISK, starts, WosConfig(), 5, seed=0, context=context)
     with pytest.raises(ValueError, match="need one context per start"):
         driver.sample_exits(DISK, THETA, WosConfig(), 5, seed=0, context=[0])
-    with pytest.raises(ValueError, match=r"one row per stream.*shape \(3, 2\)"):
+    with pytest.raises(ValueError, match=r"must pair up.*starts of shape \(3, 2\) and ids "
+                                         r"of shape \(4,\)"):
         wos.wos_exit_batch(DISK, starts, WosConfig(), 0, np.arange(4, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("method", sorted(KERNELS))
+def test_repeated_contexts_and_no_starts_are_refused(method):
+    # a repeated context would hand two starts the same streams
+    sampler = KERNELS[method][1]
+    for context in ([0, 0], [3, 3]):
+        with pytest.raises(ValueError, match=r"contexts must be distinct") as exc:
+            driver.sample_exits(DISK, np.array([[0.2, 0.0], [0.5, 0.0]]), sampler, 5, seed=0,
+                                context=context)
+        assert "\n" not in str(exc.value) and str(context) in str(exc.value)
+    with pytest.raises(ValueError, match=r"need at least one start, got starts of shape "
+                                         r"\(0, 2\)"):
+        driver.sample_exits(DISK, np.zeros((0, 2)), sampler, 5, seed=0, context=[])
 
 
 def test_max_hops_carries_pending_streams_and_positions_pair_by_pair(monkeypatch):
@@ -221,7 +238,7 @@ def test_max_hops_carries_pending_streams_and_positions_pair_by_pair(monkeypatch
     starts = np.repeat(np.array(STARTS[2]), n, axis=0)
     ids = np.arange(3 * n, dtype=np.uint64)
     with pytest.raises(MaxHopsExceeded) as exc:
-        wos.wos_exit_batch(DISK, starts, cfg, 1, ids)
+        wos.wos_exit_batch(DISK, starts, cfg, 1, ids.reshape(-1, 1))
     err = exc.value
     assert err.hops == 3
     assert 0 < err.stream_ids.size < 3 * n

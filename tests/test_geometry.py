@@ -47,6 +47,41 @@ def test_interior_point_coerces_or_names_the_point():
         box.interior_point((1.0, 0.5, 0.5))
 
 
+def test_interior_starts_pairs_one_start_with_its_ids():
+    starts, grid = unit_ball(2).interior_starts([0.5, 0], [4, 9, 2])
+    assert starts.dtype == np.float64 and np.array_equal(starts, [[0.5, 0.0]])
+    assert grid.dtype == np.uint64 and np.array_equal(grid, [[4, 9, 2]])
+
+
+def test_interior_starts_returns_c_ordered_starts():
+    theta = np.asfortranarray([[0.2, 0.0], [0.3, -0.4], [0.0, 0.5]])
+    grid = np.arange(6, dtype=np.uint64).reshape(3, 2)
+    starts, got = unit_ball(2).interior_starts(theta, grid)
+    assert starts.flags.c_contiguous and np.array_equal(starts, theta)
+    assert np.array_equal(got, grid)
+
+
+@pytest.mark.parametrize("theta_shape, ids_shape", [
+    ((2,), (3, 1)),      # one start with a grid
+    ((3, 2), (6,)),      # k starts with flat ids
+    ((3, 2), (2, 4)),    # k starts with a grid of another k
+    ((1, 3, 2), (1, 3)), # starts of three dimensions
+])
+def test_interior_starts_names_a_shape_mismatch(theta_shape, ids_shape):
+    theta, ids = np.full(theta_shape, 0.1), np.zeros(ids_shape, dtype=np.uint64)
+    with pytest.raises(ValueError, match="must pair up") as exc:
+        unit_ball(2).interior_starts(theta, ids)
+    msg = str(exc.value)
+    assert "\n" not in msg
+    assert f"starts of shape {theta_shape} and ids of shape {ids_shape}" in msg
+
+
+def test_interior_starts_names_a_start_outside_the_domain():
+    theta = np.array([[0.2, 0.0], [0.0, 1.5]])
+    with pytest.raises(ValueError, match=r"start point \[0\.  1\.5\] is not strictly inside"):
+        unit_ball(2).interior_starts(theta, np.zeros((2, 3), dtype=np.uint64))
+
+
 def test_box_contains():
     box = BoxDomain((0.0, 0.0), (2.0, 1.0))
     assert box.contains_many(rows((1.0, 0.5), (0.0, 0.5), (1.0, 1.0))).tolist() == [
