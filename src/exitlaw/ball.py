@@ -190,13 +190,17 @@ def rejection_envelope(ball: Ball, theta) -> float:
     (module docstring), and |u + a| ranges over [1 - rho/r, 1 + rho/r].
     The ratio peaks at the far end of that range for d >= 2, giving
     M = (r / (r - rho))^(d-2) (one in the plane), and at the near end
-    for d = 1, giving M = (r + rho) / r.
+    for d = 1, giving M = (r + rho) / r. An M beyond float64 is inf, which
+    the exact sampler refuses.
     """
     _, rho = ball.radial_point(theta, "theta")
     r, d = ball.radius, ball.dimension
     if d == 1:
         return (r + rho) / r
-    return (r / (r - rho)) ** (d - 2)
+    try:
+        return (r / (r - rho)) ** (d - 2)
+    except OverflowError:
+        return math.inf
 
 
 class MaxProposalsExceeded(RuntimeError):

@@ -14,8 +14,8 @@ or an output file that cannot be written, is one ``error:`` line and
 exit status 2. The CLI checks only what the command line alone gives a
 meaning: ``--dim`` against the CSV schema, the coordinates of
 ``--center``/``--theta``, ``--rho >= 0``, ``--workers >= 1`` for every
-command, and every sampler's knobs, which the metadata line records
-whichever one runs.
+command (a no-op: every command runs on one thread), and every
+sampler's knobs, which the metadata line records whichever one runs.
 
 Output goes to a CSV (or aligned-text) file whose metadata lines embed
 the version, the seed, and the semantic configuration. Worker count,
@@ -82,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample Brownian exit distributions and check them against closed forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers="threads walking brownian stream groups; wos and exact run "
-                          "on one thread; never changes results"):
+    def common(p):
         p.add_argument("--seed", type=int, default=0,
                        help="run seed in [0, 2^64) (default %(default)s)")
         p.add_argument("--out", help="output path (default: <command>.<ext> "
@@ -91,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "text"], default="csv",
                        help="output format (default %(default)s)")
         p.add_argument("--workers", type=int, default=1,
-                       help=workers + " (default %(default)s)")
+                       help="accepted and unused: every command runs on one thread "
+                            "(default %(default)s)")
         p.add_argument("--config", help="JSON file preloading any flag; flags override it")
 
     def sampler_knobs(p):
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample count (default %(default)s)")
 
     p = sub.add_parser("kernel-check", help="verify the ball kernel integrates to 1")
-    common(p, workers="unused: the quadrature runs on one thread")
+    common(p)
     p.add_argument("--dim", type=int, default=2, help="dimension (default %(default)s)")
     p.add_argument("--rho", type=_real, default=0.5,
                    help="start distance from center (default %(default)s)")
@@ -170,7 +170,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         ns = parser.parse_args(argv[:1] + _config_flags(ns.config, cmd) + argv[1:])
 
     err = cmd.error
-    if ns.workers < 1:  # every command takes it, whether or not it runs threads
+    if ns.workers < 1:  # every command takes it, though none runs threads
         err(f"workers must be >= 1, got {ns.workers}")
     if "method" in ns:  # the metadata line records every sampler's knobs
         for method in driver.SAMPLERS:

@@ -16,12 +16,13 @@ disjoint id block under the run seed. ``sample_exits`` serves k starts
 on one domain in one lockstep batch, one distinct context per start,
 so a kernel pays its per-round cost once for all of them. Every sample
 reads only its own stream, so the output is a pure function of
-(config, seed, contexts, n) however starts are grouped into calls. Only
-the brownian kernel uses threads (``BrownianConfig.workers``).
+(config, seed, contexts, n) however starts are grouped into calls.
+Every kernel runs on one thread.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import fields
 
@@ -72,7 +73,8 @@ def method_of(sampler: Sampler) -> str:
 
 
 def stream_block(context: int, n: int) -> np.ndarray:
-    """Stream ids for n samples of the given context."""
+    """Stream ids for n samples of the given context, an integer of any type."""
+    context = operator.index(context)  # a Python int: a numpy one would shift in its dtype
     if not 0 <= context < (1 << 32):
         raise ValueError(f"context must fit in 32 bits, got {context}")
     if n >= (1 << 32):
@@ -102,7 +104,7 @@ def sample_exits(domain: Domain, theta, sampler: Sampler, n: int, seed: int,
                          f"for starts of shape {starts.shape}")
     if not multi:
         return kernel(domain, starts, sampler, seed, stream_block(context, n))
-    contexts = [int(c) for c in context]
+    contexts = [operator.index(c) for c in context]
     if not contexts:
         raise ValueError(f"need at least one start, got starts of shape {starts.shape}")
     if len(set(contexts)) < len(contexts):

@@ -14,9 +14,12 @@ class ExitBatch:
     A driver call of k starts with n samples each returns k*n rows
     ordered by start: rows [i*n, (i+1)*n) are start i's, sample index
     order within. ``points`` is (k*n, d); ``steps`` is (k*n,), the
-    sampler's work count: timesteps (brownian), sphere hops (wos) or
-    proposals (exact); ``exit_times`` is (k*n,) from the brownian
-    sampler, the only one with a clock, and None from the others.
+    sampler's work count: rounds, interior hops plus layer steps
+    (brownian), sphere hops (wos) or proposals (exact). ``exit_times``
+    is (k*n,) from the brownian sampler, the only one with a clock, and
+    None from the others: a sampled time, each hop of radius R taking
+    R^2 times a draw of the unit ball's first-passage time and each
+    layer step dt, the last one up to its crossing.
     """
 
     points: np.ndarray

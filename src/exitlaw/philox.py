@@ -27,10 +27,11 @@ cipher, chosen only by how many words each stream asks for:
   proposal for many walks): plain vectorized numpy on uint64 across all
   streams and blocks at once, in passes of whole streams that bound its
   scratch memory.
-* narrow (``NARROW_WORDS`` or more, e.g. a block of Brownian steps):
-  numpy's C ``numpy.random.Philox``, one stream at a time. Its counter is
-  a 256-bit integer (limbs little-endian) that it increments *before*
-  producing each block, so it is set to the 256-bit predecessor of our
+* narrow (``NARROW_WORDS`` or more, e.g. the Monte Carlo draws of
+  ``ball.kernel_normalization``): numpy's C ``numpy.random.Philox``, one
+  stream at a time. Its counter is a 256-bit integer (limbs
+  little-endian) that it increments *before* producing each block, so
+  it is set to the 256-bit predecessor of our
   first block's counter ``(b, tag, 0, 0)``: ``(b-1, tag, 0, 0)``, or
   when ``b = 0`` the borrow ``(2^64-1, tag-1, 0, 0)``, or when the tag is
   0 too ``(2^64-1, 2^64-1, 2^64-1, 2^64-1)``. The words before ``start``

@@ -120,17 +120,28 @@ def sphere_rows(seed: int, stream_ids, gauss_start: int, d: int,
 
     Direction t of a stream reads Gaussian words [s, s + d) of its main
     Gaussian substream, s = gauss_start + t*d, so all rounds come from
-    one request. A direction whose norm falls below NORM_FLOOR is redrawn
+    one request (see ``unit_rows``).
+    """
+    ids = np.atleast_1d(stream_ids)
+    g = gaussian_values(seed, ids, gauss_start, rounds * d).reshape(len(ids), rounds, d)
+    return unit_rows(seed, ids, gauss_start, g)
+
+
+def unit_rows(seed: int, stream_ids, gauss_start: int, g: np.ndarray) -> np.ndarray:
+    """The Gaussian vectors g (m, rounds, d) as unit directions.
+
+    Row (i, t) holds Gaussian words [s, s + d) of stream i, s =
+    gauss_start + t*d. A row whose norm falls below NORM_FLOOR is redrawn
     from the same words of substream TAG_RETRY + a at attempt a: every
     direction is a pure function of (seed, stream, s), whatever window or
     batch it is drawn in. Raises RuntimeError after MAX_REDRAWS attempts.
     """
-    ids = np.atleast_1d(stream_ids)
-    g = gaussian_values(seed, ids, gauss_start, rounds * d).reshape(-1, d)
+    m, rounds, d = g.shape
+    g = g.reshape(-1, d)
     norms = np.sqrt(np.einsum("ij,ij->i", g, g))
     for j in np.flatnonzero(norms < NORM_FLOOR):
         i, t = divmod(int(j), rounds)
-        sid, s = int(ids[i]), gauss_start + t * d
+        sid, s = int(stream_ids[i]), gauss_start + t * d
         for attempt in range(MAX_REDRAWS):
             g[j] = gaussian_values(seed, sid, s, d, substream=TAG_RETRY + attempt)
             norms[j] = np.sqrt(np.einsum("i,i", g[j], g[j]))
@@ -140,4 +151,4 @@ def sphere_rows(seed: int, stream_ids, gauss_start: int, d: int,
             raise RuntimeError(
                 f"stream {sid}: the sphere direction at Gaussian word {s} stayed "
                 f"below NORM_FLOOR after {MAX_REDRAWS} redraw attempts")
-    return (g / norms[:, None]).reshape(-1, rounds, d)
+    return (g / norms[:, None]).reshape(m, rounds, d)

@@ -369,6 +369,15 @@ def test_envelope_beyond_float64_is_refused_as_inf():
         sample_exact_batch(unit_ball(400), theta, ExactConfig(), 1, np.arange(2, dtype=np.uint64))
 
 
+def test_rejection_envelope_beyond_float64_is_inf():
+    # (1 / 0.1)^398 overflows float64: the envelope is inf, as the kernel's
+    theta = np.zeros(400)
+    theta[0] = 0.9
+    assert rejection_envelope(unit_ball(400), theta) == np.inf
+    theta[0] = 0.5
+    assert rejection_envelope(unit_ball(400), theta) == pytest.approx(2.0 ** 398)
+
+
 def test_exact_center_start_accepts_immediately():
     # at the center the kernel is uniform and M = 1: every proposal lands
     b = unit_ball(3)

@@ -1,15 +1,16 @@
 """Tests for the discretized Brownian exit sampler."""
 
-import re
+import dataclasses
+import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from exitlaw import Ball, BoxDomain, BrownianConfig, MaxStepsExceeded
 from exitlaw.brownian import simulate_exit_batch
-from exitlaw import brownian, rng, stats
+from exitlaw.exits import ExitBatch
+from exitlaw import brownian, driver, passage, rng, stats
 
 BALL2 = Ball(np.zeros(2), 1.0)
 THETA2 = np.array([0.5, 0.0])
@@ -25,7 +26,8 @@ def test_config_validation():
 
 
 def test_exit_time_is_within_the_final_step():
-    cfg = BrownianConfig(dt=1e-3)
+    # a layer of 4 sqrt(dt) = 1 covers the unit disk: every round is a step
+    cfg = BrownianConfig(dt=1 / 16)
     batch = simulate_exit_batch(BALL2, THETA2, cfg, 0, ids(500))
     lo = (batch.steps - 1) * cfg.dt
     hi = batch.steps * cfg.dt
@@ -67,22 +69,85 @@ def test_step_landing_on_the_boundary_exits_there(monkeypatch, domain, start, ex
     assert (batch.exit_times == 0.25).all()
 
 
+def test_hop_rounding_onto_the_boundary_exits_at_its_projection(monkeypatch):
+    # at dt = 1e-40 the hop radius 0.5 - sqrt(dt) rounds to 0.5: from
+    # (0.5, 0) the first round hops along (1, 0) onto the sphere's point
+    # (1, 0), and exits there after one round, at the hop time
+    def gaussians(seed, ids, start, count, substream=rng.TAG_GAUSS):
+        g = np.zeros((len(ids), count))
+        if start == 0:
+            g[:, 0] = 1.0
+        return g
+
+    monkeypatch.setattr(rng, "gaussian_values", gaussians)
+    cap_steps(monkeypatch, 10)
+    batch = simulate_exit_batch(BALL2, THETA2, BrownianConfig(dt=1e-40), 5, ids(3))
+    assert (batch.points == (1.0, 0.0)).all()
+    assert (batch.steps == 1).all()
+    u = rng.uniform_values(5, ids(3), 0, 1)[:, 0]
+    assert np.array_equal(batch.exit_times, 0.25 * passage.times(2, u))
+
+
+def test_first_round_hops_one_step_short_of_the_inscribed_sphere(monkeypatch):
+    # at dt = 1e-4 the layer is 0.04 deep: a walk at distance 0.5 hops by
+    # 0.5 - sqrt(dt) along the unit direction of its Gaussian words [0, 2)
+    cap_steps(monkeypatch, 1)
+    with pytest.raises(MaxStepsExceeded) as err:
+        simulate_exit_batch(BALL2, THETA2, BrownianConfig(dt=1e-4), 9, ids(64))
+    dirs = rng.sphere_rows(9, ids(64), 0, 2)[:, 0]
+    assert np.array_equal(err.value.stream_ids, ids(64))
+    assert np.array_equal(err.value.positions, THETA2 + (0.5 - math.sqrt(1e-4)) * dirs)
+    assert (BALL2.distance_to_boundary_many(err.value.positions) >= 0.01 - 1e-15).all()
+
+
+def test_hop_directions_share_the_sphere_redraws(monkeypatch):
+    # a floor of 0.3 redraws ~4 % of the 2-d hop directions from the retry
+    # substreams: the hops still equal rng.sphere_rows' directions, and
+    # the walks are still the same in any window
+    monkeypatch.setattr(rng, "NORM_FLOOR", 0.3)
+    cfg = BrownianConfig(dt=1e-4)
+    want = simulate_exit_batch(BALL2, THETA2, cfg, 9, ids(200))
+    monkeypatch.setattr(rng, "WINDOW_VALUES", 1)
+    assert_same_exits(simulate_exit_batch(BALL2, THETA2, cfg, 9, ids(200)), want)
+    cap_steps(monkeypatch, 1)
+    with pytest.raises(MaxStepsExceeded) as err:
+        simulate_exit_batch(BALL2, THETA2, cfg, 9, ids(64))
+    dirs = rng.sphere_rows(9, ids(64), 0, 2)[:, 0]
+    assert np.array_equal(err.value.positions, THETA2 + (0.5 - math.sqrt(1e-4)) * dirs)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exit_time_variance_at_the_centre(d):
+    # from the centre the first hop takes (1 - sqrt(dt))^2 T_d, and the
+    # layer walk that ends it O(dt) more; Var tau = 2 / (d^2 (d+2))
+    n = 20_000
+    batch = simulate_exit_batch(Ball(np.zeros(d), 1.0), np.zeros(d), BrownianConfig(dt=1e-4),
+                                4, ids(n))
+    tau = batch.exit_times
+    var = 2.0 / (d * d * (d + 2))
+    # the SE of a sample variance, from the fourth central moment; the
+    # floors are criterion 4's 5 sqrt(dt), relative for the variance
+    se = math.sqrt(np.mean((tau - tau.mean()) ** 4) - tau.var() ** 2) / math.sqrt(n)
+    floor = 5 * math.sqrt(1e-4)
+    assert abs(tau.var() - var) <= max(4 * se, floor * var)
+    assert abs(tau.mean() - 1.0 / d) <= max(4 * tau.std() / math.sqrt(n), floor)
+
+
 def test_block_width_does_not_change_results(monkeypatch):
-    # Ball at d=2; box at d=3, where 7 and 255 words give odd requests with
-    # odd Gaussian offsets. Width d is one step per block, so every exit
-    # takes its previous point from the carried position; 255/256/257
-    # straddle philox.NARROW_WORDS.
+    # the blocks are lookahead windows of rounds: one round per window
+    # (WINDOW_VALUES 1), windows of a few rounds, and the default; ball at
+    # d=2, box at d=3
     box3 = BoxDomain((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))
     cfg = BrownianConfig(dt=1e-3)
-    default = brownian._BLOCK_WORDS
+    default = rng.WINDOW_VALUES
     for domain, theta in [(BALL2, THETA2), (box3, np.array([0.4, 0.3, 0.5]))]:
         d = domain.dimension
-        monkeypatch.setattr(brownian, "_BLOCK_WORDS", default)
+        monkeypatch.setattr(rng, "WINDOW_VALUES", default)
         want = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
-        for words in (d, 7, 255, 256, 257):
-            monkeypatch.setattr(brownian, "_BLOCK_WORDS", words)
+        for values in (1, 7 * d * 100, 4096):
+            monkeypatch.setattr(rng, "WINDOW_VALUES", values)
             got = simulate_exit_batch(domain, theta, cfg, 3, ids(100))
-            case = (d, words)
+            case = (d, values)
             assert np.array_equal(want.points, got.points), case
             assert np.array_equal(want.steps, got.steps), case
             assert np.array_equal(want.exit_times, got.exit_times), case
@@ -93,44 +158,50 @@ def cap_steps(monkeypatch, steps):
 
 
 def test_max_steps_cap_off_the_block_edge(monkeypatch):
-    # the cap of 701 steps ends partway through the second 512-step block
-    # at d=2, and one step into a 4-step block after a width-7 patch; the
-    # pending positions are the sums of exactly 701 increments
+    # with an unbounded layer every round is a dt-step: the cap of 701
+    # rounds ends partway through a lookahead window of up to 64 rounds,
+    # and one round into a 7-round window; the pending positions are the
+    # sums of exactly 701 increments
+    monkeypatch.setattr(brownian, "KAPPA", math.inf)
     cfg = BrownianConfig(dt=1e-6)
     cap_steps(monkeypatch, 701)
     g = rng.gaussian_values(0, ids(16), 0, 701 * 2).reshape(16, 701, 2)
     incr = np.concatenate([np.tile(THETA2, (16, 1, 1)), g * np.sqrt(1e-6)], axis=1)
     want = np.cumsum(incr, axis=1)[:, -1]
-    for words in (brownian._BLOCK_WORDS, 7):
-        monkeypatch.setattr(brownian, "_BLOCK_WORDS", words)
+    for values in (rng.WINDOW_VALUES, 16 * 2 * 7):
+        monkeypatch.setattr(rng, "WINDOW_VALUES", values)
         with pytest.raises(MaxStepsExceeded) as err:
             simulate_exit_batch(BALL2, THETA2, cfg, 0, ids(16))
         assert err.value.steps == 701
-        assert np.array_equal(err.value.positions, want), words
+        assert np.array_equal(err.value.positions, want), values
 
 
 def test_block_memory_stays_small():
-    # numpy reports its buffers to tracemalloc; 500 streams at d=2, walked
-    # in groups of 256, hold a few live x 1,024 arrays per block, about 8 MB
+    # numpy reports its buffers to tracemalloc; 20,000 walks at d=2 hold a
+    # few arrays of one value per walk and one lookahead window
     ball = Ball(np.zeros(2), 1.0)
     tracemalloc.start()
     try:
-        simulate_exit_batch(ball, np.array([0.2, 0.0]), BrownianConfig(dt=1e-3), 1, ids(500))
+        simulate_exit_batch(ball, np.array([0.2, 0.0]), BrownianConfig(dt=1e-3), 1,
+                            ids(20_000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
 
 
-def test_stream_groups_do_not_change_results(monkeypatch):
-    # 30 streams in groups of 7: four full groups and a group of two
+def test_stream_groups_do_not_change_results():
+    # a (3, 30) grid walked whole, and as column groups of 7 streams (four
+    # full groups and a group of two): the lockstep batch moves no bit
     cfg = BrownianConfig(dt=1e-3)
-    want = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(30))
-    monkeypatch.setattr(brownian, "_GROUP_STREAMS", 7)
-    got = simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(30))
-    assert np.array_equal(want.points, got.points)
-    assert np.array_equal(want.steps, got.steps)
-    assert np.array_equal(want.exit_times, got.exit_times)
+    starts = THREE_STARTS[[0, 300, 550]]
+    grid = ids(90).reshape(3, 30)
+    want = simulate_exit_batch(BALL2, starts, cfg, 3, grid)
+    for lo in range(0, 30, 7):
+        part = simulate_exit_batch(BALL2, starts, cfg, 3, grid[:, lo:lo + 7])
+        rows = (30 * np.arange(3)[:, None] + np.arange(lo, min(lo + 7, 30))).ravel()
+        assert_same_exits(part, ExitBatch(want.points[rows], want.steps[rows],
+                                          want.exit_times[rows]))
 
 
 def test_batch_split_does_not_change_results():
@@ -153,6 +224,8 @@ def test_batch_row_matches_single_stream_batch():
 
 
 def test_max_steps_carries_partial_state(monkeypatch):
+    # every round a dt-step (an unbounded layer), as in the plain walk
+    monkeypatch.setattr(brownian, "KAPPA", math.inf)
     cfg = BrownianConfig(dt=1e-6)
     cap_steps(monkeypatch, 50)
     with pytest.raises(MaxStepsExceeded) as err:
@@ -166,12 +239,11 @@ def test_max_steps_carries_partial_state(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# threads over stream groups
+# --workers: accepted, and no knob of the walk
 # ---------------------------------------------------------------------------
 
-#: 700 streams from three starts, one per stream (an (m, 1) stream grid):
-#: groups of 256, 256 and 188 streams, the first two straddling a change
-#: of start.
+#: 700 streams from three starts, one per stream (an (m, 1) stream grid)
+#: of unequal runs of 300, 250 and 150 streams.
 THREE_STARTS = np.repeat([[0.2, 0.0], [0.5, 0.0], [0.3, -0.4]], [300, 250, 150], axis=0)
 
 
@@ -181,67 +253,42 @@ def assert_same_exits(got, want):
     assert np.array_equal(got.exit_times, want.exit_times)
 
 
-@pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
-def test_config_rejects_workers_below_1(workers):
-    with pytest.raises(ValueError, match=re.escape(f"workers must be >= 1, got {workers!r}")):
-        BrownianConfig(workers=workers)
+def test_config_has_the_single_field_dt():
+    assert [f.name for f in dataclasses.fields(BrownianConfig)] == ["dt"]
+    with pytest.raises(TypeError):
+        BrownianConfig(workers=2)
 
 
 def test_worker_threads_are_bit_identical(monkeypatch):
-    monkeypatch.setattr(brownian.os, "cpu_count", lambda: 8)
-    cfg = BrownianConfig(dt=1e-2)
-    want = simulate_exit_batch(BALL2, THREE_STARTS, cfg, 7, ids(700)[:, None])
+    # the command line's --workers reaches sampler_config, which drops it
+    want = simulate_exit_batch(BALL2, THREE_STARTS, BrownianConfig(dt=1e-2), 7,
+                               ids(700)[:, None])
     for workers in (2, 3):
-        got = simulate_exit_batch(BALL2, THREE_STARTS, replace(cfg, workers=workers), 7,
-                                  ids(700)[:, None])
-        assert_same_exits(got, want)
-
-
-@pytest.mark.parametrize("workers, groups, cpus, threads", [
-    (64, 5, 3, 3),       # capped by the CPU count
-    (2, 50, 8, 2),       # capped by the request
-    (64, 2, 8, 2),       # capped by the group count
-    (4, 1, 8, None),     # one group: no pool at all
-    (4, 50, 1, None),    # one CPU: no pool at all
-    (4, 50, None, None), # unknown CPU count counts as one
-])
-def test_thread_pool_is_clamped(monkeypatch, workers, groups, cpus, threads):
-    seen = []
-    real = brownian.ThreadPoolExecutor
-
-    def recording(max_workers):
-        seen.append(max_workers)
-        return real(max_workers=min(max_workers, 3))
-
-    # groups of 4 streams, the last one short
-    monkeypatch.setattr(brownian, "_GROUP_STREAMS", 4)
-    monkeypatch.setattr(brownian, "ThreadPoolExecutor", recording)
-    monkeypatch.setattr(brownian.os, "cpu_count", lambda: cpus)
-    cfg = BrownianConfig(dt=1e-2)
-    got = simulate_exit_batch(BALL2, THETA2, replace(cfg, workers=workers), 3,
-                              ids(4 * groups - 1))
-    assert seen == ([] if threads is None else [threads])
-    assert_same_exits(got, simulate_exit_batch(BALL2, THETA2, cfg, 3, ids(4 * groups - 1)))
+        cfg = driver.sampler_config("brownian", dt=1e-2, workers=workers)
+        assert cfg == BrownianConfig(dt=1e-2)
+        assert_same_exits(simulate_exit_batch(BALL2, THREE_STARTS, cfg, 7, ids(700)[:, None]),
+                          want)
 
 
 def test_threaded_max_steps_names_the_serial_pending_walks(monkeypatch):
-    # every group of 256, 256 and 1 streams reaches the cap, the lone
-    # stream long before the others; both runs raise the first group's error
-    monkeypatch.setattr(brownian.os, "cpu_count", lambda: 8)
-    cap_steps(monkeypatch, 5000)
-    m = 2 * brownian._GROUP_STREAMS + 1
+    # every walk still inside at the cap is named, in row order, with its
+    # position, whatever the window size
+    cap_steps(monkeypatch, 40)
     errors = []
-    for workers in (1, 3):
+    for values in (rng.WINDOW_VALUES, 3):
+        monkeypatch.setattr(rng, "WINDOW_VALUES", values)
         with pytest.raises(MaxStepsExceeded) as err:
-            simulate_exit_batch(BALL2, THREE_STARTS[:m], BrownianConfig(dt=1e-6, workers=workers),
-                                0, ids(m)[:, None])
+            simulate_exit_batch(BALL2, THREE_STARTS, BrownianConfig(dt=1e-6), 0,
+                                ids(700)[:, None])
         errors.append(err.value)
-    serial, threaded = errors
-    assert np.array_equal(serial.stream_ids, ids(brownian._GROUP_STREAMS))
-    assert np.array_equal(threaded.stream_ids, serial.stream_ids)
-    assert np.array_equal(threaded.positions, serial.positions)
-    assert threaded.steps == serial.steps == 5000
-    assert str(threaded) == str(serial)
+    serial, windowed = errors
+    assert 0 < serial.stream_ids.size < 700
+    assert np.all(np.diff(serial.stream_ids.astype(np.int64)) > 0)
+    assert BALL2.contains_many(serial.positions).all()
+    assert np.array_equal(windowed.stream_ids, serial.stream_ids)
+    assert np.array_equal(windowed.positions, serial.positions)
+    assert windowed.steps == serial.steps == 40
+    assert str(windowed) == str(serial)
 
 
 def test_default_step_cap_scales_with_diameter_and_dt():

@@ -306,6 +306,25 @@ def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
     assert "unknown config file key 'house'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers, status, fragment", [
+    (2, 0, None),
+    ("3", 0, None),
+    (0, 2, "workers must be >= 1, got 0"),
+    (-2, 2, "workers must be >= 1, got -2"),
+    (1.5, 2, "invalid int value: '1.5'"),
+])
+def test_config_file_naming_workers_runs_or_exits_2(tmp_path, capsys, workers, status, fragment):
+    # --workers is a validated no-op, from a config file as from the command line
+    path, out = tmp_path / "run.json", tmp_path / "s.csv"
+    path.write_text(json.dumps({"workers": workers, "n": 20, "dt": 1e-2}))
+    assert exit_status(["sample", "--method", "brownian", "--config", str(path)], out) == status
+    if fragment is None:
+        assert out.exists()
+    else:
+        assert_one_line_error(capsys.readouterr().err, fragment)
+        assert not out.exists()
+
+
 def test_largest_seed_runs(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sample", "--method", "exact", "--n", "20", "--seed", str(2 ** 64 - 1),
@@ -364,7 +383,7 @@ def test_run_config_knobs_default_to_the_config_types():
                 if f.name in defaults:
                     assert defaults[f.name] == f.default, (command, cls.__name__, f.name)
                     knobs.add(f.name)
-    assert knobs == {"dt", "epsilon", "workers"}
+    assert knobs == {"dt", "epsilon"}
 
 
 SHOWN_DEFAULTS = {"--dt": brownian.BrownianConfig.dt}
@@ -602,9 +621,11 @@ def test_exact_proposal_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys)
 
 def test_brownian_step_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
     # the default cap resolves per domain; shrink it so the walks reach it
+    # (from the centre the first hop is the whole disk, so start off it)
     monkeypatch.setattr(brownian.BrownianConfig, "resolve_max_steps", lambda self, domain: 30)
-    status = main(["sample", "--method", "brownian", "--dim", "2", "--dt", "1e-6",
-                   "--n", "8", "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    status = main(["sample", "--method", "brownian", "--dim", "2", "--theta", "0.5,0",
+                   "--dt", "1e-6", "--n", "8", "--seed", "1",
+                   "--out", str(tmp_path / "s.csv")])
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -669,10 +690,8 @@ def test_off_origin_ball_samples(tmp_path, extra):
     assert out.read_text().splitlines()[-1].endswith(",PASS")
 
 
-def test_identical_bytes_across_worker_counts(tmp_path, monkeypatch):
-    # 3 x 200 walks per dimension are three 256-stream groups, so four
-    # workers reach the brownian thread pool, whatever the host's CPU count
-    monkeypatch.setattr(brownian.os, "cpu_count", lambda: 4)
+def test_identical_bytes_across_worker_counts(tmp_path):
+    # --workers is accepted and changes nothing: every kernel runs on one thread
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = "table1 --method brownian --n 200 --dt 1e-2 --seed 5".split()
     main(argv + ["--workers", "1", "--out", str(a)])

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from exitlaw import ball, brownian, driver, wos
+from exitlaw import ball, brownian, driver, rng, wos
 from exitlaw.brownian import BrownianConfig
 from exitlaw.driver import ExactConfig
 from exitlaw.exits import points_of
@@ -39,6 +39,20 @@ def test_stream_blocks_of_distinct_contexts_are_disjoint():
 def test_stream_block_range_validation(context, n):
     with pytest.raises(ValueError):
         driver.stream_block(context, n)
+
+
+@pytest.mark.parametrize("context", [np.uint32(7), np.int64(7), np.uint64(7)])
+def test_numpy_integer_contexts_own_their_streams(context):
+    # shifted in a numpy dtype, a uint32 7 << 32 would wrap to context 0
+    assert np.array_equal(driver.stream_block(context, 3), driver.stream_block(7, 3))
+
+
+@pytest.mark.parametrize("context", [7.0, np.float64(7.0), "7"])
+def test_non_integer_contexts_are_refused(context):
+    with pytest.raises(TypeError):
+        driver.stream_block(context, 3)
+    with pytest.raises(TypeError):
+        driver.sample_exits(DISK, [[0.1, 0.0]], ExactConfig(), 2, seed=0, context=[context])
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +97,12 @@ def test_registry_maps_each_method_to_one_config_type():
     assert ExactConfig() == ExactConfig()
     # each config type holds only the knobs a user sets
     names = {m: {f.name for f in dataclasses.fields(cls)} for m, cls in driver.SAMPLERS.items()}
-    assert names == {"brownian": {"dt", "workers"}, "wos": {"epsilon"}, "exact": set()}
+    assert names == {"brownian": {"dt"}, "wos": {"epsilon"}, "exact": set()}
 
 
 def test_sampler_config_takes_each_method_its_own_knobs():
     knobs = dict(dt=1e-3, epsilon=1e-5, workers=2)
-    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(dt=1e-3, workers=2)
+    assert driver.sampler_config("brownian", **knobs) == BrownianConfig(dt=1e-3)
     assert driver.sampler_config("wos", **knobs) == WosConfig(epsilon=1e-5)
     assert driver.sampler_config("exact", **knobs) == ExactConfig()
     assert driver.sampler_config("wos") == WosConfig()
@@ -155,9 +169,10 @@ def rows_of(batch, lo, hi):
 @pytest.mark.parametrize("method", sorted(KERNELS))
 def test_multi_start_kernel_batch_equals_single_start_calls(monkeypatch, method, d, order):
     # a (3, n) stream grid: the batch is byte-equal to three one-start
-    # batches, also when brownian groups straddle two starts, and to the
-    # (3n, 1) grid in which every stream is its own start
-    monkeypatch.setattr(brownian, "_GROUP_STREAMS", 7)
+    # batches, also when lookahead windows of 7 values or fewer per round
+    # cut the rounds differently, and to the (3n, 1) grid in which every
+    # stream is its own start
+    monkeypatch.setattr(rng, "WINDOW_VALUES", 7 * 3 * 30 * d)
     kernel, cfg = KERNELS[method]
     domain, n = Ball(np.zeros(d), 1.0), 30
     starts = np.array(STARTS[d], order=order)

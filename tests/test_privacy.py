@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from exitlaw import driver
+from exitlaw import driver, rng
 from exitlaw.brownian import BrownianConfig
 from exitlaw.driver import ExactConfig
 from exitlaw.geometry import Ball, BoxDomain
@@ -127,12 +127,15 @@ def test_first_replication_stable_as_count_grows():
     assert np.array_equal(a[1].estimate, b[1].estimate)
 
 
-def test_workers_do_not_change_reports():
-    # 40 x 23 trips: four brownian stream groups
+def test_workers_do_not_change_reports(monkeypatch):
+    # the command line's --workers reaches sampler_config, which drops it,
+    # and lookahead windows of one round move no bit either
     house = [0.2, -0.3]
     a = run_attacks(disk_scenario(house, 23, BrownianConfig(dt=1e-2)), seed=1, replications=40)
-    b = run_attacks(disk_scenario(house, 23, BrownianConfig(dt=1e-2, workers=4)), seed=1,
-                    replications=40)
+    monkeypatch.setattr(rng, "WINDOW_VALUES", 1)
+    b = run_attacks(disk_scenario(house, 23, driver.sampler_config("brownian", dt=1e-2,
+                                                                   workers=4)),
+                    seed=1, replications=40)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.estimate, rb.estimate)
         assert ra.error == rb.error
