@@ -24,7 +24,9 @@ is the hyperbolic Poisson kernel ((1 - rho^2)/|y - a|^2)^(d-1) times
 the uniform one (Ahlfors 1981; Stoll 2016), so the harmonic measure is
 |u + a|^(2-d) times the proposal, up to normalization. Accepting with
 that ratio over its maximum leaves an envelope of (1 - rho)^-(d-2):
-one in the plane, where no proposal is ever rejected.
+one in the plane, where no proposal is ever rejected. A proposal reads
+its uniform only when its accept probability is below one, so the plane
+reads none.
 
 Densities are with respect to unnormalized (d-1)-dimensional surface
 measure, so at the center K is the constant 1/(surface area).
@@ -257,18 +259,20 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     come in ``ravel`` order, and each start's constants are computed once.
     Proposal t of a stream maps the uniform direction u read from its
     Gaussian words [t*d, (t+1)*d) to y (module docstring) and accepts y
-    when uniform word t is below (|u + a| / peak)^(2-d), with peak =
-    1 - rho/r for d >= 2 and 1 + rho/r for d = 1. That probability is
-    ((r - rho) / (r |u + a|))^(d-2) for d >= 2, which is 1 in the plane,
-    and |u + a| / (1 + rho/r) on the line. Batched execution agrees bit
-    for bit with one proposal per request, whatever the lookahead
-    (``rng.lookahead_rounds``). ``steps`` records the proposals each
-    sample consumed, a Geometric(1/M) count whose mean estimates
-    ``rejection_envelope``. Accepted points are renormalized onto the
-    sphere, which the map alone misses by rounding that grows as the
-    start nears the boundary. Raises MaxProposalsExceeded when a start's
-    M or a sample's proposals exceed MAX_PROPOSALS, and ValueError on a
-    domain that is not a Ball.
+    with probability p = (|u + a| / peak)^(2-d), with peak = 1 - rho/r
+    for d >= 2 and 1 + rho/r for d = 1. That is ((r - rho) /
+    (r |u + a|))^(d-2) for d >= 2, which is 1 in the plane, and
+    |u + a| / (1 + rho/r) on the line. A proposal with p < 1 accepts when
+    uniform word t is below p; one with p >= 1 accepts as every uniform
+    would, and a stream reads no uniforms for a window whose p are all
+    >= 1. Batched execution agrees bit for bit with one proposal per
+    request, whatever the lookahead (``rng.lookahead_rounds``). ``steps``
+    records the proposals each sample consumed, a Geometric(1/M) count
+    whose mean estimates ``rejection_envelope``. Accepted points are
+    renormalized onto the sphere, which the map alone misses by rounding
+    that grows as the start nears the boundary. Raises
+    MaxProposalsExceeded when a start's M or a sample's proposals exceed
+    MAX_PROPOSALS, and ValueError on a domain that is not a Ball.
     """
     if not isinstance(ball, Ball):
         raise ValueError("the exact sampler is defined for balls only")
@@ -298,7 +302,12 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
         v = v.reshape(-1, d)
         s2 = np.einsum("ij,ij->i", v, v)
         accept_p = (np.sqrt(s2).reshape(live, k) / peak[own, None]) ** (2 - d)
-        acc = rng.uniform_values(seed, ids[alive], t, k) < accept_p
+        # u < p for every u in [0, 1) once p >= 1: only rows with a p < 1
+        # read their uniforms (none in the plane, where p is 1)
+        acc = accept_p >= 1.0
+        draw = np.flatnonzero(~acc.all(axis=1))
+        if draw.size:
+            acc[draw] = rng.uniform_values(seed, ids[alive[draw]], t, k) < accept_p[draw]
         hit = acc.any(axis=1)
         if hit.any():
             rows = np.flatnonzero(hit)

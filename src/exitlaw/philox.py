@@ -9,7 +9,7 @@ one-sample-at-a-time execution regardless of batch width or worker count.
 The multipliers and Weyl key increments are the published Philox-4x64
 parameterization (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3"). The test suite checks the words against frozen known answers
-and the two paths below against each other, word for word.
+and against numpy's own ``numpy.random.Philox``, word for word.
 
 Layout
 ------
@@ -18,29 +18,18 @@ counter  = (block_index, substream, 0, 0)
 block    = 4 output words; word ``w`` of a substream lives in block
            ``w >> 2``, lane ``w & 3``.
 
-Two paths, one cipher
----------------------
-``raw_words`` serves a request by one of two implementations of the same
-cipher, chosen only by how many words each stream asks for:
-
-* wide (fewer than ``NARROW_WORDS`` words per stream, e.g. one hop or
-  proposal for many walks): plain vectorized numpy on uint64 across all
-  streams and blocks at once, in passes of whole streams that bound its
-  scratch memory.
-* narrow (``NARROW_WORDS`` or more, e.g. the Monte Carlo draws of
-  ``ball.kernel_normalization``): numpy's C ``numpy.random.Philox``, one
-  stream at a time. Its counter is a 256-bit integer (limbs
-  little-endian) that it increments *before* producing each block, so
-  it is set to the 256-bit predecessor of our
-  first block's counter ``(b, tag, 0, 0)``: ``(b-1, tag, 0, 0)``, or
-  when ``b = 0`` the borrow ``(2^64-1, tag-1, 0, 0)``, or when the tag is
-  0 too ``(2^64-1, 2^64-1, 2^64-1, 2^64-1)``. The words before ``start``
-  in the first block are drawn and dropped.
-
-Both paths compute Philox-4x64-10 under the same key and counter, and
-integer arithmetic has no rounding, so the path taken cannot change a
-word — and every float built from the words is computed after this
-module, by the same code either way.
+Tiles
+-----
+``raw_words`` enciphers a request in tiles of at most ``_CHUNK_BLOCKS``
+(stream, block) pairs, in plain vectorized numpy on uint64. A request of
+few words per stream (one hop or proposal for many walks) is tiled along
+its streams, whole streams to a tile; a stream longer than a tile (the
+Monte Carlo draws of ``ball.kernel_normalization``) is tiled along its
+blocks as well. The cipher holds about ten uint64 arrays per tile, so a
+tile of 2^14 pairs needs ~1.3 MB of scratch: it stays inside a 2 MB L2
+cache, where one pass over a whole request of 10^5 streams (~9 MB)
+spills out of it. Integer arithmetic has no rounding, so the tiling
+cannot change a word.
 """
 
 from __future__ import annotations
@@ -56,23 +45,15 @@ _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _SH32 = _U64(32)
 _ROUNDS = 10
-_ALL_ONES = (1 << 64) - 1
 _M0_HI, _M0_LO = _U64(int(_M0) >> 32), _M0 & _MASK32
 _M1_HI, _M1_LO = _U64(int(_M1) >> 32), _M1 & _MASK32
 
-# Most (stream, block) pairs one pass of the wide path enciphers. The
-# cipher holds about ten uint64 arrays of that many elements, so a pass
-# needs ~40 MB of scratch however many streams a request names; a
-# request is split into passes over whole streams.
-_CHUNK_BLOCKS = 1 << 19
+# Bytes of cipher scratch per (stream, block) pair: about ten uint64 arrays.
+_PAIR_BYTES = 80
 
-# Words per stream from which a request takes the narrow path. Measured
-# on a 2-core Xeon, numpy 2.4, for 500 streams: the paths tie at 256
-# words per stream (~20 Mword/s); below it the wide path wins (2.5x at
-# 64, 4x at 8), above it the narrow one (2.3x at 512, 11x at 8,000).
-# With fewer streams the tie moves lower (under 64 for 20 streams), with
-# more streams to ~128 (5,000), so 256 never costs the narrow path much.
-NARROW_WORDS = 256
+# Most (stream, block) pairs one tile enciphers: 1.25 MiB of scratch, so
+# 2^14 pairs, which leaves room in a 2 MB L2 cache for the tile's output.
+_CHUNK_BLOCKS = (5 << 18) // _PAIR_BYTES
 
 
 def _mulhi(c_hi, c_lo, x, out, t1, t2, t3):
@@ -157,18 +138,22 @@ def raw_words(seed: int, stream_ids, substream: int, start: int, count: int) -> 
     ids = np.atleast_1d(np.asarray(stream_ids, dtype=_U64))
     m = ids.shape[0]
     out = np.empty((m, count), dtype=_U64)
-    if count >= NARROW_WORDS:
-        _fill_narrow(seed, ids, substream, start, count, out)
-        return out[0] if scalar else out
-    nblocks = ((start + count + 3) >> 2) - (start >> 2)
+    end = start + count
+    nblocks = ((end + 3) >> 2) - (start >> 2)
+    cuts = [start, end]
+    if nblocks > _CHUNK_BLOCKS:   # a stream longer than a tile: cut at tile-aligned words
+        span = 4 * _CHUNK_BLOCKS
+        cuts[1:1] = range((start // span + 1) * span, end, span)
     rows = max(_CHUNK_BLOCKS // max(nblocks, 1), 1)
     for lo in range(0, m, rows):
-        _fill_words(seed, ids[lo : lo + rows], substream, start, count, out[lo : lo + rows])
+        for a, b in zip(cuts, cuts[1:]):
+            _fill_words(seed, ids[lo : lo + rows], substream, a, b - a,
+                        out[lo : lo + rows, a - start : b - start])
     return out[0] if scalar else out
 
 
 def _fill_words(seed, ids, substream, start, count, out):
-    """Wide path: the emulated cipher on every (stream, block) at once."""
+    """One tile: the cipher on every (stream, block) of the word range at once."""
     b0 = start >> 2
     nblocks = ((start + count + 3) >> 2) - b0
     ctr = np.empty((ids.shape[0], nblocks), dtype=_U64)
@@ -181,33 +166,3 @@ def _fill_words(seed, ids, substream, start, count, out):
         n = len(range(w0, count, 4))
         j0 = (off + w0) >> 2
         out[:, w0::4] = lane[:, j0 : j0 + n]
-
-
-def _counter_predecessor(block: int, substream: int) -> np.ndarray:
-    """The 256-bit counter one below (block, substream, 0, 0), as 4 limbs."""
-    if block:
-        limbs = [block - 1, substream, 0, 0]
-    elif substream:
-        limbs = [_ALL_ONES, substream - 1, 0, 0]
-    else:
-        limbs = [_ALL_ONES] * 4
-    return np.array(limbs, dtype=_U64)
-
-
-def _fill_narrow(seed, ids, substream, start, count, out):
-    """Narrow path: numpy's C Philox, one stream at a time, straight into out."""
-    from numpy.random import Philox  # deferred: importing numpy.random costs ~15 ms
-
-    bg = Philox(0)
-    state = bg.state
-    state["state"]["counter"] = _counter_predecessor(start >> 2, substream)
-    state["buffer_pos"] = 4  # empty buffer: the next word starts a fresh block
-    key = np.array([seed, 0], dtype=_U64)
-    skip = start & 3
-    for i, sid in enumerate(ids.tolist()):
-        key[1] = sid
-        state["state"]["key"] = key
-        bg.state = state
-        if skip:
-            bg.random_raw(skip, output=False)
-        out[i] = bg.random_raw(count)

@@ -51,12 +51,11 @@ MAX_REDRAWS = 8
 #: amortize a request's fixed cost.
 WINDOW_VALUES = 1 << 15
 
-#: Most words per stream one lookahead request holds: half of philox's
-#: narrow threshold, so these requests (Box-Muller pairs round a Gaussian
-#: one up by at most 2 words) always take the wide path. The narrow path
-#: would save little at these sizes, and loading ``numpy.random`` for it
-#: costs ~6 MB resident.
-WINDOW_WORDS = philox.NARROW_WORDS // 2
+#: Most words per stream one lookahead request holds: it bounds how far
+#: ahead the last few live streams of a batch fetch. Windows move no word
+#: (see ``lookahead_rounds``), so the value only trades requests against
+#: words fetched and dropped.
+WINDOW_WORDS = 128
 
 _INV53 = 2.0 ** -53
 _SH11 = np.uint64(11)

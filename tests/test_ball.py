@@ -486,3 +486,34 @@ def test_lookahead_window_matches_per_round_proposals_with_redraws(
     assert redrawn >= 7 and len(retries) >= 2 * redrawn
     assert np.array_equal(batch.points, want_points)
     assert np.array_equal(batch.steps, want_steps)
+
+
+@pytest.mark.parametrize("d,rho", [(1, 0.5), (2, 0.0), (2, 0.5), (2, 0.95),
+                                   (3, 0.0), (3, 0.5), (4, 0.5)])
+def test_exact_reads_uniforms_only_where_a_proposal_can_reject(monkeypatch, d, rho):
+    # p >= 1 accepts whatever the uniform, so the plane reads none; rows
+    # that do read one still read word t for proposal t
+    b = Ball(np.zeros(d), 1.0)
+    th = np.zeros(d)
+    th[0] = rho
+    ids = np.arange(400, dtype=np.uint64)
+    want_points, want_steps = per_round_exact(b, th, 6, ids)
+    rows = []
+    uniform_values = rng.uniform_values
+
+    def counted(seed, stream_ids, start, count):
+        rows.append(len(stream_ids))
+        return uniform_values(seed, stream_ids, start, count)
+
+    monkeypatch.setattr(rng, "uniform_values", counted)
+    batch = sample_exact_batch(b, th, ExactConfig(), 6, ids)
+    assert np.array_equal(batch.points, want_points)
+    assert np.array_equal(batch.steps, want_steps)
+    if d == 2:
+        assert rows == []
+    elif d == 1 or rho == 0.0:
+        # on the line p is 1 at the near point; at the center of a d=3
+        # ball |u| rounds to either side of 1, and p = 1/|u| with it
+        assert 0 < rows[0] < ids.size
+    else:
+        assert rows[0] == ids.size

@@ -433,15 +433,19 @@ def test_sample_writes_schema_and_passes(tmp_path, capsys):
 
 
 def test_table1_loads_neither_numpy_ma_nor_numpy_random(tmp_path):
-    # np.unique(axis=0) would load numpy.ma (~35 ms per process), and the
-    # narrow Philox path numpy.random (~6 MB resident)
+    # np.unique(axis=0) would load numpy.ma (~35 ms per process), and
+    # numpy.random costs ~6 MB resident: no command needs either
     src = str(Path(__file__).resolve().parents[1] / "src")
+    commands = [["table1", "--method", m, "--n", "2"] for m in ("wos", "exact", "brownian")]
+    commands += [["sample", "--n", "5"],
+                 ["privacy", "--trips", "3"],
+                 ["kernel-check", "--dim", "3", "--resolution", "1000"]]
     code = "\n".join([
         "import sys",
         f"sys.path.insert(0, {src!r})",
         "from exitlaw.cli import main",
-        *(f"main(['table1', '--method', {m!r}, '--n', '2', '--out', {str(tmp_path / m)!r}])"
-          for m in ("wos", "exact")),
+        *(f"assert main({argv + ['--out', str(tmp_path / str(i))]!r}) in (0, 1)"
+          for i, argv in enumerate(commands)),
         "print([name for name in ('numpy.ma', 'numpy.random') if name in sys.modules])",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

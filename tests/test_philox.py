@@ -133,75 +133,70 @@ def test_cipher_avalanche():
 
 
 # ---------------------------------------------------------------------------
-# narrow path (numpy's C Philox) against the wide emulation, word for word
+# tiles: narrow requests (few streams, many words) are cut along their
+# blocks, wide ones (many streams, few words) along their streams
 # ---------------------------------------------------------------------------
 
 
-def raw_words_with_threshold(narrow_words, *args):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(philox, "NARROW_WORDS", narrow_words)
-        return philox.raw_words(*args)
-
-
-def wide(*args):
-    return raw_words_with_threshold(1 << 62, *args)
-
-
-def narrow(*args):
-    return raw_words_with_threshold(1, *args)
+def numpy_words(seed, stream_id, substream, start, count):
+    """Words [start, start+count) of one stream, from numpy's Philox."""
+    return numpy_blocks(seed, stream_id, substream, (start + count + 3) // 4)[start:start + count]
 
 
 @pytest.mark.parametrize("substream", [0, 1, 2])
 @pytest.mark.parametrize("start", [0, 1, 2, 3, 5, 6, 7, 4097])
-def test_narrow_matches_wide_substreams_and_starts(substream, start):
-    # starts 1-3 sit in block 0 (counter predecessor borrows from the tag
-    # limb, or from every limb at tag 0); 5-7 and 4097 in blocks above 0
-    ids = np.array([0, 1, 2**40 + 3], dtype=U64)
-    want = wide(8, ids, substream, start, 37)
-    assert np.array_equal(narrow(8, ids, substream, start, 37), want)
+def test_narrow_matches_wide_substreams_and_starts(monkeypatch, substream, start):
+    # 16-block tiles: the 3 narrow streams cross 3 or 4 tiles each, the
+    # 40 wide ones share tiles 5 at a time; both agree with numpy
+    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", 16)
+    ids = np.array([0, 1, 2**40 + 3, *range(5, 42)], dtype=U64)
+    narrow = philox.raw_words(8, ids[:3], substream, start, 150)
+    wide = philox.raw_words(8, ids, substream, start, 9)
+    assert np.array_equal(narrow[:, :9], wide[:3])
+    for sid, row in zip(ids[:3], narrow):
+        assert np.array_equal(row, numpy_words(8, int(sid), substream, start, 150))
 
 
 @pytest.mark.parametrize("seed,stream_id", [(ALL_ONES, 0), (0, ALL_ONES), (ALL_ONES, ALL_ONES)])
 @pytest.mark.parametrize("substream", [0, 1])
-def test_narrow_matches_wide_at_all_ones_keys(seed, stream_id, substream):
-    want = wide(seed, np.array([stream_id], dtype=U64), substream, 3, 50)
-    got = narrow(seed, np.array([stream_id], dtype=U64), substream, 3, 50)
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("count", [philox.NARROW_WORDS - 1, philox.NARROW_WORDS,
-                                   philox.NARROW_WORDS + 1])
-@pytest.mark.parametrize("start", [0, 6])
-def test_default_switch_is_invisible_around_the_crossover(count, start):
-    ids = np.arange(3, dtype=U64)
-    got = philox.raw_words(21, ids, 1, start, count)
-    assert np.array_equal(got, wide(21, ids, 1, start, count))
-    # and each word range agrees with the one long request it belongs to
-    whole = philox.raw_words(21, ids, 1, 0, start + count + 300)
-    assert np.array_equal(got, whole[:, start:start + count])
+def test_narrow_matches_wide_at_all_ones_keys(monkeypatch, seed, stream_id, substream):
+    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", 4)
+    ids = np.array([stream_id, 1, 2, 3], dtype=U64)
+    got = philox.raw_words(seed, ids[:1], substream, 3, 50)
+    assert np.array_equal(got[0], numpy_words(seed, stream_id, substream, 3, 50))
+    assert np.array_equal(got[:, :10], philox.raw_words(seed, ids, substream, 3, 10)[:1])
 
 
 def test_narrow_scalar_and_array_stream_ids():
-    scalar = narrow(5, 11, 0, 9, 300)
+    scalar = philox.raw_words(5, 11, 0, 9, 300)
     assert scalar.shape == (300,)
-    assert np.array_equal(scalar, wide(5, 11, 0, 9, 300))
-    batch = narrow(5, np.array([11], dtype=U64), 0, 9, 300)
+    assert np.array_equal(scalar, numpy_words(5, 11, 0, 9, 300))
+    batch = philox.raw_words(5, np.array([11], dtype=U64), 0, 9, 300)
     assert batch.shape == (1, 300)
     assert np.array_equal(batch[0], scalar)
 
 
-def test_narrow_matches_numpy_reference_directly():
-    count = philox.NARROW_WORDS + 8
-    got = philox.raw_words(42, 7, 1, 0, count)
-    assert list(got[:4]) == KNOWN_GAUSS_BLOCK0
-    assert np.array_equal(got, numpy_blocks(42, 7, 1, count // 4))
+@pytest.mark.parametrize("start", [0, 6])
+def test_narrow_matches_numpy_reference_directly(start):
+    # one long request of 4 tiles' worth of words, at the default tile size
+    count = 4 * 4 * philox._CHUNK_BLOCKS + 300
+    got = philox.raw_words(42, 7, 1, start, count)
+    if start == 0:
+        assert list(got[:4]) == KNOWN_GAUSS_BLOCK0
+    assert np.array_equal(got, numpy_words(42, 7, 1, start, count))
 
 
-def test_chunking_leaves_both_paths_unchanged(monkeypatch):
-    ids = np.arange(300, dtype=U64)
-    want = philox.raw_words(3, ids, 2, 5, 100)           # wide, one chunk
-    long = philox.raw_words(3, ids[:4], 2, 5, 700)       # narrow
-    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", 64)
-    assert np.array_equal(philox.raw_words(3, ids, 2, 5, 100), want)  # 2 streams a pass
-    assert np.array_equal(philox.raw_words(3, ids[:4], 2, 5, 700), long)
-    assert np.array_equal(long[:, :100], want[:4])
+@pytest.mark.parametrize("tile", [1, 3, 64])
+def test_tiles_leave_every_word_unchanged(monkeypatch, tile):
+    # many short streams and one stream longer than a tile, at block-0
+    # starts 1-3 (the first block partly dropped) and a start past 4096
+    monkeypatch.setattr(philox, "_CHUNK_BLOCKS", tile)
+    ids = np.arange(2 * tile + 10, dtype=U64)   # 3 blocks each: several tiles
+    for substream in (0, 1, 2):
+        for start in (1, 2, 3, 4097):
+            short = philox.raw_words(3, ids, substream, start, 9)
+            long = philox.raw_words(3, ids[-1], substream, start, 4 * tile + 61)
+            assert np.array_equal(long[:9], short[-1])
+            assert np.array_equal(long, numpy_words(3, int(ids[-1]), substream, start, long.size))
+            for sid in (0, ids.size - 2):
+                assert np.array_equal(short[sid], numpy_words(3, sid, substream, start, 9))

@@ -175,10 +175,13 @@ def test_lookahead_rounds_doubles_within_caps():
     assert rng.lookahead_rounds(1, 2, 10**9) == rng.WINDOW_WORDS // 2
     assert rng.lookahead_rounds(1000, 2, 10**9) == rng.WINDOW_VALUES // 2000
     assert rng.lookahead_rounds(10**6, 3, 10**9) == 1  # one round may exceed the cap
+    assert rng.WINDOW_WORDS == 128   # where windows have always been cut
     for w in range(1, 9):
-        # a window's Gaussian request (K*w words, +2 for pair alignment)
-        # stays on philox's wide path
-        assert rng.lookahead_rounds(1, w, 10**9) * w + 2 < philox.NARROW_WORDS
+        # one stream's window fills WINDOW_WORDS, and its Gaussian request
+        # (K*w words, +2 for pair alignment) fits in one Philox tile
+        k = rng.lookahead_rounds(1, w, 10**9)
+        assert k == rng.WINDOW_WORDS // w
+        assert (k * w + 2) // 4 + 2 <= philox._CHUNK_BLOCKS
 
 
 def test_sphere_rows_window_matches_single_rounds():
