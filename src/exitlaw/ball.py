@@ -270,7 +270,10 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     records the proposals each sample consumed, a Geometric(1/M) count
     whose mean estimates ``rejection_envelope``. Accepted points are
     renormalized onto the sphere, which the map alone misses by rounding
-    that grows as the start nears the boundary. Raises
+    that grows as the start nears the boundary. Each window
+    (``_exact_window``) builds its accepted points in place, where they
+    were proposed when all its streams accept their one proposal, and
+    frees its temporaries before the next. Raises
     MaxProposalsExceeded when a start's M or a sample's proposals exceed
     MAX_PROPOSALS, and ValueError on a domain that is not a Ball.
     """
@@ -298,31 +301,83 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
         # Proposals [t, t + K) of every live stream from one request each
         # for the Gaussian and uniform words; a row keeps its first accept.
         k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
-        v = rng.sphere_rows(seed, ids[alive], t * d, d, rounds=k) + a[own, None, :]
-        v = v.reshape(-1, d)
-        s2 = np.einsum("ij,ij->i", v, v)
-        accept_p = (np.sqrt(s2).reshape(live, k) / peak[own, None]) ** (2 - d)
-        # u < p for every u in [0, 1) once p >= 1: only rows with a p < 1
-        # read their uniforms (none in the plane, where p is 1)
-        acc = accept_p >= 1.0
-        draw = np.flatnonzero(~acc.all(axis=1))
-        if draw.size:
-            acc[draw] = rng.uniform_values(seed, ids[alive[draw]], t, k) < accept_p[draw]
-        hit = acc.any(axis=1)
-        if hit.any():
-            rows = np.flatnonzero(hit)
-            j = np.argmax(acc[rows], axis=1)
-            pick = rows * k + j
-            at = own if single else own[rows]
-            y = a[at] + v[pick] * (power[at] / s2[pick])[:, None]
-            y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
-            idx = alive[rows]
-            points[idx] = c + r * y
-            steps[idx] = t + j + 1
-            alive = alive[~hit]
+        whole = live == m   # no row has accepted yet: alive is arange(m)
+        hit, j, y = _exact_window(seed, ids if whole else ids[alive], t, k,
+                                  a[own], power[own], peak[own], r, c)
+        if hit is None:   # every live row accepted
+            idx, alive = (slice(None) if whole else alive), alive[:0]
+        else:
+            idx, alive = alive[hit], alive[~hit]
+        points[idx] = y
+        steps[idx] = t + j + 1
         t += k
 
     return ExitBatch(points, steps)
+
+
+def _exact_window(seed: int, sids: np.ndarray, t: int, k: int, a: np.ndarray,
+                  power: np.ndarray, peak: np.ndarray, r: float, c: np.ndarray):
+    """Proposals [t, t + k) of the live streams sids: (hit, j, y).
+
+    a (1 or live, d), power and peak (1 or live,) hold the start
+    constants of ``_exact_starts``, one row for every stream or one per
+    stream. hit marks the streams that accept in the window, None when
+    all do; j is each accepting stream's first accept in the window (0
+    when k = 1) and y its exit point, in row order.
+
+    The map from proposal v = u + a to exit point runs in place, with
+    the same IEEE operations as c + r (a + v power/s2) / |a + v power/s2|:
+    on the proposals themselves when k = 1 and every stream accepts (the
+    plane's first window), else on the accepted rows gathered by
+    ``np.take``. The window's temporaries die with the call.
+    """
+    live, d = sids.shape[0], a.shape[1]
+    v = rng.sphere_rows(seed, sids, t * d, d, rounds=k)
+    v += a[:, None, :]
+    v = v.reshape(-1, d)
+    s2 = np.einsum("ij,ij->i", v, v)
+    hit, j = _accepts(seed, sids, t, k, s2, peak, d)
+    if hit is None and k == 1:
+        y, q = v, s2
+    else:
+        rows = np.arange(live) if hit is None else np.flatnonzero(hit)
+        pick = rows * k + j
+        y, q = np.take(v, pick, axis=0), np.take(s2, pick)
+        del v, s2   # free the window before the map's temporaries
+        if a.shape[0] > 1 and hit is not None:   # per-stream constants follow their rows
+            a, power = np.take(a, rows, axis=0), power[rows]
+    np.divide(power, q, out=q)
+    y *= q[:, None]
+    y += a
+    norm = np.einsum("ij,ij->i", y, y)
+    np.sqrt(norm, out=norm)
+    y /= norm[:, None]
+    y *= r
+    y += c
+    return hit, j, y
+
+
+def _accepts(seed: int, sids: np.ndarray, t: int, k: int, s2: np.ndarray,
+             peak: np.ndarray, d: int):
+    """(hit, j) of ``_exact_window`` for proposals with |u + a|^2 = s2 (live * k,).
+
+    Proposal t + i of a stream accepts when its uniform word t + i is
+    below p = (|u + a| / peak)^(2-d). u < p for every u in [0, 1) once
+    p >= 1, so only streams with a p < 1 in the window read their
+    uniforms: none in the plane, where p is 1.
+    """
+    live = sids.shape[0]
+    accept_p = np.sqrt(s2).reshape(live, k)
+    accept_p /= peak[:, None]
+    accept_p **= 2 - d
+    acc = accept_p >= 1.0
+    draw = np.flatnonzero(~acc.all(axis=1))
+    if draw.size:
+        acc[draw] = rng.uniform_values(seed, sids[draw], t, k) < accept_p[draw]
+    hit = acc.any(axis=1)
+    if hit.all():
+        return None, 0 if k == 1 else np.argmax(acc, axis=1)
+    return hit, 0 if k == 1 else np.argmax(acc[hit], axis=1)
 
 
 def second_moment_quadrature(ball: Ball, theta, resolution: int = 4096) -> float:

@@ -63,13 +63,15 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _u01(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to [0, 1) with 53-bit resolution."""
-    return (words >> _SH11).astype(np.float64) * _INV53
+    """Map uint64 words to [0, 1) with 53-bit resolution, in place.
 
-
-def _u01_positive(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to (0, 1] — safe as a log argument."""
-    return ((words >> _SH11) + np.uint64(1)).astype(np.float64) * _INV53
+    The values overwrite their words: the result is a float64 view of
+    the words' memory, which the caller gives up.
+    """
+    words >>= _SH11               # 53-bit integers, exact in float64
+    u = words.view(np.float64)
+    np.multiply(words, _INV53, out=u)
+    return u
 
 
 def uniform_values(seed: int, stream_ids, start: int, count: int) -> np.ndarray:
@@ -83,6 +85,11 @@ def gaussian_values(seed: int, stream_ids, start: int, count: int,
 
     Random access: the result for any (start, count) window agrees
     bit-for-bit with the corresponding slice of a single long request.
+    Box-Muller runs in place: the deviates overwrite their own words,
+    the angle u2 taking the odd columns and the log and sqrt one radius
+    buffer; cos lands in the even columns, sin overwrites the angle, and
+    the radius scales both, with the same IEEE operations as the module
+    docstring's formula.
     """
     p0 = start >> 1
     p1 = (start + count + 1) >> 1
@@ -90,11 +97,21 @@ def gaussian_values(seed: int, stream_ids, start: int, count: int,
     w = philox.raw_words(seed, stream_ids, substream, 2 * p0, 2 * npairs)
     scalar = w.ndim == 1
     w = np.atleast_2d(w)
-    radius = np.sqrt(-2.0 * np.log(_u01_positive(w[:, 0::2])))
-    angle = _TWO_PI * _u01(w[:, 1::2])
-    g = np.empty_like(w, dtype=np.float64)
-    g[:, 0::2] = radius * np.cos(angle)
-    g[:, 1::2] = radius * np.sin(angle)
+    top = w[:, 0::2]
+    top >>= _SH11
+    top += np.uint64(1)
+    radius = top * _INV53         # u1 in (0, 1]: safe as a log argument
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = _u01(w[:, 1::2])      # u2, in the odd columns
+    angle *= _TWO_PI
+    g = w.view(np.float64)
+    cos = g[:, 0::2]
+    np.cos(angle, out=cos)
+    np.sin(angle, out=angle)
+    cos *= radius
+    angle *= radius
     off = start - 2 * p0
     g = g[:, off : off + count]
     return g[0] if scalar else g
@@ -127,17 +144,23 @@ def sphere_rows(seed: int, stream_ids, gauss_start: int, d: int,
 
 
 def unit_rows(seed: int, stream_ids, gauss_start: int, g: np.ndarray) -> np.ndarray:
-    """The Gaussian vectors g (m, rounds, d) as unit directions.
+    """The Gaussian vectors g (m, rounds, d) as unit directions, normalized in place.
 
     Row (i, t) holds Gaussian words [s, s + d) of stream i, s =
     gauss_start + t*d. A row whose norm falls below NORM_FLOOR is redrawn
     from the same words of substream TAG_RETRY + a at attempt a: every
     direction is a pure function of (seed, stream, s), whatever window or
     batch it is drawn in. Raises RuntimeError after MAX_REDRAWS attempts.
+    g is overwritten, redrawn rows and all, and returned as the
+    directions, so pass a copy of any Gaussians still needed; the
+    division is the same IEEE operation as an out-of-place g / |g|. A
+    strided g whose rows reshape to (m * rounds, d) only by copying (an
+    odd Gaussian count per stream) is normalized in that copy instead.
     """
     m, rounds, d = g.shape
     g = g.reshape(-1, d)
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    norms = np.einsum("ij,ij->i", g, g)
+    np.sqrt(norms, out=norms)
     for j in np.flatnonzero(norms < NORM_FLOOR):
         i, t = divmod(int(j), rounds)
         sid, s = int(stream_ids[i]), gauss_start + t * d
@@ -150,4 +173,5 @@ def unit_rows(seed: int, stream_ids, gauss_start: int, g: np.ndarray) -> np.ndar
             raise RuntimeError(
                 f"stream {sid}: the sphere direction at Gaussian word {s} stayed "
                 f"below NORM_FLOOR after {MAX_REDRAWS} redraw attempts")
-    return (g / norms[:, None]).reshape(m, rounds, d)
+    g /= norms[:, None]
+    return g.reshape(m, rounds, d)

@@ -1,6 +1,7 @@
 """Closed-form checks for the ball kernel, trace, and exact sampler."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -463,6 +464,48 @@ def test_lookahead_window_matches_per_round_proposals(monkeypatch, k, d):
     batch = sample_exact_batch(b, th, ExactConfig(), 4, ids)
     assert np.array_equal(batch.points, want_points)
     assert np.array_equal(batch.steps, want_steps)
+
+
+@pytest.mark.parametrize("d,rho", [(1, 0.5), (2, 0.0), (2, 0.5), (2, 0.95), (3, 0.5),
+                                   (4, 0.5)])
+def test_in_place_accept_paths_match_per_round_proposals(d, rho):
+    # in the plane every row accepts its first proposal, which the kernel
+    # maps to its exit point where it lies; off the plane some first
+    # proposals reject and the accepted ones are gathered with np.take.
+    # Both give the reference's points and steps, for one start and for a
+    # three-start grid.
+    b = Ball(np.linspace(-0.5, 0.5, d), 2.0)
+    axes = np.eye(d)
+    starts = b.center + 2.0 * rho * np.stack([axes[0], -axes[0], axes[-1]])
+    grid = np.arange(3 * 150, dtype=np.uint64).reshape(3, 150)
+    one = sample_exact_batch(b, starts[0], ExactConfig(), 9, grid[0])
+    many = sample_exact_batch(b, starts, ExactConfig(), 9, grid)
+    for i, start in enumerate(starts):
+        want_points, want_steps = per_round_exact(b, start, 9, grid[i])
+        rows = slice(150 * i, 150 * (i + 1))
+        assert np.array_equal(many.points[rows], want_points)
+        assert np.array_equal(many.steps[rows], want_steps)
+        if i == 0:
+            assert np.array_equal(one.points, want_points)
+            assert np.array_equal(one.steps, want_steps)
+    if d == 2:
+        assert (many.steps == 1).all()
+    else:
+        assert (one.steps > 1).any() and (many.steps > 1).any()
+
+
+def test_exact_batch_memory_stays_small():
+    # numpy reports its buffers to tracemalloc; 200,000 plane samples hold
+    # their points (3.2 MB), one proposal window and a few per-row arrays,
+    # ~14 MB in all. Full-width gathers, scatters and temporaries took ~29 MB.
+    tracemalloc.start()
+    try:
+        sample_exact_batch(unit_ball(2), np.array([0.5, 0.0]), ExactConfig(), 1,
+                           np.arange(200_000, dtype=np.uint64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, None])

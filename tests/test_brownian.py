@@ -190,6 +190,24 @@ def test_block_memory_stays_small():
     assert peak < 32 * 2**20
 
 
+def test_hop_normalization_never_reaches_the_step_gaussians(monkeypatch):
+    # rng.unit_rows normalizes its input in place; a hop hands it a copy of
+    # its round's Gaussians, so in 8-round windows that mix hops and layer
+    # steps the walks are the same when unit_rows copies its input first
+    cfg = BrownianConfig(dt=1e-3)
+    monkeypatch.setattr(rng, "lookahead_rounds", lambda live, words, done: 8)
+    want = simulate_exit_batch(BALL2, THETA2, cfg, 5, ids(200))
+    real, hops = rng.unit_rows, []
+
+    def copying(seed, stream_ids, gauss_start, g):
+        hops.append(g.shape[0])
+        return real(seed, stream_ids, gauss_start, g.copy())
+
+    monkeypatch.setattr(rng, "unit_rows", copying)
+    assert_same_exits(simulate_exit_batch(BALL2, THETA2, cfg, 5, ids(200)), want)
+    assert 200 <= sum(hops) < want.steps.sum()   # every walk hops first, and some step
+
+
 def test_stream_groups_do_not_change_results():
     # a (3, 30) grid walked whole, and as column groups of 7 streams (four
     # full groups and a group of two): the lockstep batch moves no bit

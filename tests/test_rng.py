@@ -60,6 +60,39 @@ def test_streams_are_deterministic():
     assert not np.array_equal(a, rng.gaussian_values(2, 2, 0, 64))
 
 
+@pytest.mark.parametrize("start,count", [(0, 2), (0, 3), (1, 4), (5, 64)])
+def test_gaussian_values_match_out_of_place_box_muller(start, count):
+    # the in-place Box-Muller gives the module docstring's formula bit for bit
+    ids = np.array([0, 3, 2**40], dtype=np.uint64)
+    p0 = start >> 1
+    w = philox.raw_words(6, ids, rng.TAG_GAUSS, 2 * p0, 2 * (((start + count + 1) >> 1) - p0))
+    u1 = ((w[:, 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    u2 = (w[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    want = np.empty(w.shape)
+    want[:, 0::2] = radius * np.cos(angle)
+    want[:, 1::2] = radius * np.sin(angle)
+    off = start - 2 * p0
+    got = rng.gaussian_values(6, ids, start, count)
+    assert np.array_equal(got, want[:, off : off + count])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_unit_rows_normalizes_in_place_as_out_of_place_division(d):
+    # g / |g| bit for bit, written over a contiguous g; a window of an odd
+    # Gaussian count per stream (d odd) is a strided view
+    ids = np.arange(50, dtype=np.uint64)
+    window = rng.gaussian_values(2, ids, 0, 3 * d).reshape(50, 3, d)
+    flat = window.reshape(-1, d)
+    want = (flat / np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]).reshape(50, 3, d)
+    g = window.copy()
+    got = rng.unit_rows(2, ids, 0, g)
+    assert np.array_equal(got, want)
+    assert np.shares_memory(got, g) and np.array_equal(g, want)
+    assert np.array_equal(rng.unit_rows(2, ids, 0, window), want)
+
+
 def one_stream_directions(seed, n, d):
     """n unit-sphere directions read in sequence from stream 0, as (n, d)."""
     return rng.sphere_rows(seed, np.zeros(1, dtype=np.uint64), 0, d, rounds=n)[0]
