@@ -218,33 +218,6 @@ class MaxProposalsExceeded(RuntimeError):
             f"per sample). Use the walk-on-spheres sampler for this start.")
 
 
-def _exact_starts(ball: Ball, starts: np.ndarray):
-    """(a, power, peak, envelope) of the exact sampler's (k, d) starts.
-
-    a (k, d) holds the starts in unit coordinates (theta - c)/r; power,
-    peak and envelope hold one value per start: power = 1 - (rho/r)^2,
-    peak the |u + a| at which the accept ratio peaks (see
-    ``sample_exact_batch``) and envelope M = peak^(2-d), the ratio
-    there (``rejection_envelope`` up to rounding). Raises ValueError for
-    a start closer to the boundary than MAX_RHO_FRACTION allows.
-    """
-    r = ball.radius
-    rho = np.array([ball.radial_point(p, "theta")[1] for p in starts])
-    gap = (r - rho) / r                                   # 1 - rho/r
-    peak = gap if ball.dimension >= 2 else 2.0 - gap
-    with np.errstate(over="ignore"):   # an M beyond float64 is inf, which the cap refuses
-        envelope = peak ** (2 - ball.dimension)
-    far = np.flatnonzero(rho / r > MAX_RHO_FRACTION)
-    if far.size:
-        i = far[0]
-        raise ValueError(
-            f"theta is within {r - rho[i]:.3g} of the boundary, closer than "
-            f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
-            f"M = {envelope[i]:.3g} proposals per sample). "
-            f"Use the walk-on-spheres sampler for near-boundary starts.")
-    return (starts - ball.center) / r, gap * (2.0 - gap), peak, envelope
-
-
 @dataclass(frozen=True)
 class ExactConfig:
     """The exact sampler, ``sample_exact_batch``: balls only, no knobs."""
@@ -256,7 +229,11 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
 
     theta is one start (d,) with stream ids (n,), or k starts (k, d)
     with a (k, n) stream grid whose row i holds start i's streams; rows
-    come in ``ravel`` order, and each start's constants are computed once.
+    come in ``ravel`` order. Every start is checked before any draw, and
+    then each start's streams run as their own batch (``_exact_start``):
+    a start takes only a handful of lookahead windows, so unlike the
+    walks the sampler saves nothing by running starts in lockstep.
+
     Proposal t of a stream maps the uniform direction u read from its
     Gaussian words [t*d, (t+1)*d) to y (module docstring) and accepts y
     with probability p = (|u + a| / peak)^(2-d), with peak = 1 - rho/r
@@ -270,40 +247,61 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     records the proposals each sample consumed, a Geometric(1/M) count
     whose mean estimates ``rejection_envelope``. Accepted points are
     renormalized onto the sphere, which the map alone misses by rounding
-    that grows as the start nears the boundary. Each window
-    (``_exact_window``) builds its accepted points in place, where they
-    were proposed when all its streams accept their one proposal, and
-    frees its temporaries before the next. Raises
-    MaxProposalsExceeded when a start's M or a sample's proposals exceed
-    MAX_PROPOSALS, and ValueError on a domain that is not a Ball.
+    that grows as the start nears the boundary. Raises ValueError on a
+    domain that is not a Ball and for a start closer to the boundary
+    than MAX_RHO_FRACTION allows; MaxProposalsExceeded, before any draw,
+    for a start whose M exceeds MAX_PROPOSALS, and, naming the start's
+    unfinished streams and its M, when a sample's proposals reach it.
     """
     if not isinstance(ball, Ball):
         raise ValueError("the exact sampler is defined for balls only")
     starts, grid = ball.interior_starts(theta, stream_ids)
-    ids = grid.ravel()
-    m, n, d = ids.shape[0], grid.shape[1], ball.dimension
-    single = len(starts) == 1   # then its constants broadcast over all rows, uncopied
-    r, c = ball.radius, ball.center
-    a, power, peak, envelope = _exact_starts(ball, starts)
-    over = np.flatnonzero(envelope > MAX_PROPOSALS)
-    if over.size:
-        raise MaxProposalsExceeded(0, envelope[over[0]], grid[over[0]])
+    r = ball.radius
+    for start, row in zip(starts, grid):
+        rho = ball.radial_point(start, "theta")[1]
+        envelope = rejection_envelope(ball, start)
+        if rho / r > MAX_RHO_FRACTION:
+            raise ValueError(
+                f"theta is within {r - rho:.3g} of the boundary, closer than "
+                f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
+                f"M = {envelope:.3g} proposals per sample). "
+                f"Use the walk-on-spheres sampler for near-boundary starts.")
+        if envelope > MAX_PROPOSALS:
+            raise MaxProposalsExceeded(0, envelope, row)
 
-    points = np.empty((m, d))
-    steps = np.empty(m, dtype=np.int64)
+    n = grid.shape[1]
+    points = np.empty((grid.size, ball.dimension))
+    steps = np.empty(grid.size, dtype=np.int64)
+    for i, start in enumerate(starts):
+        rows = slice(i * n, (i + 1) * n)
+        _exact_start(ball, start, seed, grid[i], points[rows], steps[rows])
+    return ExitBatch(points, steps)
+
+
+def _exact_start(ball: Ball, theta: np.ndarray, seed: int, ids: np.ndarray,
+                 points: np.ndarray, steps: np.ndarray) -> None:
+    """Samples of one start into its rows of points and steps, row i from stream ids[i].
+
+    Its constants are scalars: a = (theta - c)/r, power = 1 - (rho/r)^2
+    and the peak of ``sample_exact_batch``. Each window (``_exact_window``)
+    frees its temporaries before the next.
+    """
+    d, r, c = ball.dimension, ball.radius, ball.center
+    gap = (r - ball.radial_point(theta, "theta")[1]) / r      # 1 - rho/r
+    a, power = (theta - c) / r, gap * (2.0 - gap)
+    peak = gap if d >= 2 else 2.0 - gap
+    m, t = ids.shape[0], 0
     alive = np.arange(m)
-    t = 0
     while alive.size:
         live = alive.size
-        own = slice(None) if single else alive // n   # each live row's start
         if t >= MAX_PROPOSALS:
-            raise MaxProposalsExceeded(t, envelope[own].max(), ids[alive])
+            raise MaxProposalsExceeded(t, rejection_envelope(ball, theta), ids[alive])
         # Proposals [t, t + K) of every live stream from one request each
         # for the Gaussian and uniform words; a row keeps its first accept.
         k = min(rng.lookahead_rounds(live, d + 1, t), MAX_PROPOSALS - t)
         whole = live == m   # no row has accepted yet: alive is arange(m)
         hit, j, y = _exact_window(seed, ids if whole else ids[alive], t, k,
-                                  a[own], power[own], peak[own], r, c)
+                                  a, power, peak, r, c)
         if hit is None:   # every live row accepted
             idx, alive = (slice(None) if whole else alive), alive[:0]
         else:
@@ -312,18 +310,15 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
         steps[idx] = t + j + 1
         t += k
 
-    return ExitBatch(points, steps)
-
 
 def _exact_window(seed: int, sids: np.ndarray, t: int, k: int, a: np.ndarray,
-                  power: np.ndarray, peak: np.ndarray, r: float, c: np.ndarray):
-    """Proposals [t, t + k) of the live streams sids: (hit, j, y).
+                  power: float, peak: float, r: float, c: np.ndarray):
+    """Proposals [t, t + k) of the live streams sids of one start: (hit, j, y).
 
-    a (1 or live, d), power and peak (1 or live,) hold the start
-    constants of ``_exact_starts``, one row for every stream or one per
-    stream. hit marks the streams that accept in the window, None when
-    all do; j is each accepting stream's first accept in the window (0
-    when k = 1) and y its exit point, in row order.
+    a (d,), power and peak are the start's constants (``_exact_start``).
+    hit marks the streams that accept in the window, None when all do; j
+    is each accepting stream's first accept in the window (0 when k = 1)
+    and y its exit point, in row order.
 
     The map from proposal v = u + a to exit point runs in place, with
     the same IEEE operations as c + r (a + v power/s2) / |a + v power/s2|:
@@ -331,9 +326,9 @@ def _exact_window(seed: int, sids: np.ndarray, t: int, k: int, a: np.ndarray,
     plane's first window), else on the accepted rows gathered by
     ``np.take``. The window's temporaries die with the call.
     """
-    live, d = sids.shape[0], a.shape[1]
+    live, d = sids.shape[0], a.shape[0]
     v = rng.sphere_rows(seed, sids, t * d, d, rounds=k)
-    v += a[:, None, :]
+    v += a
     v = v.reshape(-1, d)
     s2 = np.einsum("ij,ij->i", v, v)
     hit, j = _accepts(seed, sids, t, k, s2, peak, d)
@@ -344,8 +339,6 @@ def _exact_window(seed: int, sids: np.ndarray, t: int, k: int, a: np.ndarray,
         pick = rows * k + j
         y, q = np.take(v, pick, axis=0), np.take(s2, pick)
         del v, s2   # free the window before the map's temporaries
-        if a.shape[0] > 1 and hit is not None:   # per-stream constants follow their rows
-            a, power = np.take(a, rows, axis=0), power[rows]
     np.divide(power, q, out=q)
     y *= q[:, None]
     y += a
@@ -358,7 +351,7 @@ def _exact_window(seed: int, sids: np.ndarray, t: int, k: int, a: np.ndarray,
 
 
 def _accepts(seed: int, sids: np.ndarray, t: int, k: int, s2: np.ndarray,
-             peak: np.ndarray, d: int):
+             peak: float, d: int):
     """(hit, j) of ``_exact_window`` for proposals with |u + a|^2 = s2 (live * k,).
 
     Proposal t + i of a stream accepts when its uniform word t + i is
@@ -368,7 +361,7 @@ def _accepts(seed: int, sids: np.ndarray, t: int, k: int, s2: np.ndarray,
     """
     live = sids.shape[0]
     accept_p = np.sqrt(s2).reshape(live, k)
-    accept_p /= peak[:, None]
+    accept_p /= peak
     accept_p **= 2 - d
     acc = accept_p >= 1.0
     draw = np.flatnonzero(~acc.all(axis=1))

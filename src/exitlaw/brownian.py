@@ -73,13 +73,25 @@ class BrownianConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def resolve_max_steps(self, domain: Domain) -> int:
-        """The round cap ``ceil(100 D^2 / dt)``; a ValueError beyond 2^62 rounds."""
+        """The round cap ``ceil(100 D^2 / dt)``; a ValueError beyond 2^62 rounds,
+        and for a dt whose layer steps could overflow a boundary crossing.
+
+        A step's squared length is below (8.57 sqrt(dt))^2 d, 8.57 =
+        sqrt(106 ln 2) being Box-Muller's largest deviate, and a crossing
+        in a domain of diameter D forms it times at most max(2 D^2, 4).
+        """
         diameter = domain.diameter()
         cap = 100.0 * (diameter * diameter) / self.dt
         if not cap <= 2.0 ** 62:
             raise ValueError(
                 f"dt={self.dt:g} is too small for a domain of diameter {diameter:g}: "
                 f"the step cap 100 D^2/dt = {cap:.3g} exceeds 2^62")
+        step2 = self.dt * (106 * math.log(2)) * domain.dimension
+        if not math.isfinite(max(2.0 * diameter * diameter, 4.0) * step2):
+            raise ValueError(
+                f"dt={self.dt:g} is too large for a domain of diameter {diameter:g}: "
+                f"a layer step's boundary crossing, up to max(2 D^2, 4) "
+                f"(8.57 sqrt(dt))^2 d, overflows float64")
         return math.ceil(cap)
 
 

@@ -13,9 +13,15 @@ command line's knobs.
 Stream ids are allocated as (context << 32) + sample_index, so every
 logical sampling context (a table row, a privacy grid cell, ...) owns a
 disjoint id block under the run seed. ``sample_exits`` serves k starts
-on one domain in one lockstep batch, one distinct context per start,
-so a kernel pays its per-round cost once for all of them. Every sample
-reads only its own stream, so the output is a pure function of
+on one domain in one kernel call, one distinct context per start. The
+walks move them in one lockstep batch and pay their per-round cost once
+for all of them: run as separate batches, table1's three starts per
+dimension took about 40 % longer with walk on spheres and 80 % with
+the brownian walk (``table1 --n 500``). The exact sampler draws them one
+after another: a start takes only a handful of lookahead windows, so
+lockstep saved it nothing, and three starts on a (3, 10^5) grid peaked
+at 30 MiB where one start of the same 3*10^5 samples took 19 MiB. Every
+sample reads only its own stream, so the output is a pure function of
 (config, seed, contexts, n) however starts are grouped into calls.
 Every kernel runs on one thread.
 """

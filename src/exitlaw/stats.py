@@ -145,8 +145,9 @@ def reproduce_table1(sampler: driver.Sampler, n: int, seed: int) -> list[Compari
     {0.2, 0.5, 0.8} from the center of the unit ball, n samples each,
     drawn by the ``sampler`` config. Row k draws from stream context k,
     so rows are independent and any row can be recomputed in isolation.
-    The three rows of one dimension are drawn in one driver call, one
-    lockstep batch of 3n walks.
+    The three rows of one dimension are drawn in one driver call: the
+    walks move them as one lockstep batch of 3n walks, and the exact
+    sampler draws them start by start (``driver``).
     """
     rows = []
     for d in sorted({d for d, _ in TABLE1_SETTINGS}):

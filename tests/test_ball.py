@@ -362,6 +362,34 @@ def test_envelope_above_cap_refused_before_drawing(monkeypatch):
     assert exc.value.stream_ids.size == 8
 
 
+def test_start_grid_cap_names_only_the_capping_start(monkeypatch):
+    # the starts run one after another: start 0 (M = 4) finishes, and
+    # start 1 (M = 100) reaches a cap of 150 with only its own streams
+    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 150)
+    starts = np.array([[0.5, 0, 0, 0], [0.9, 0, 0, 0]])
+    grid = np.arange(2 * 64, dtype=np.uint64).reshape(2, 64)
+    with pytest.raises(MaxProposalsExceeded) as exc:
+        sample_exact_batch(unit_ball(4), starts, ExactConfig(), 1, grid)
+    err = exc.value
+    assert err.proposals == 150
+    assert err.envelope == rejection_envelope(unit_ball(4), starts[1])
+    assert 0 < err.stream_ids.size < 64 and np.isin(err.stream_ids, grid[1]).all()
+    assert f"{err.stream_ids.size} exact sample(s)" in str(err) and "M = 100" in str(err)
+
+
+def test_start_grid_envelope_above_cap_refused_before_any_start_draws(monkeypatch):
+    # start 1's M = 100 exceeds a cap of 50: refused before start 0 (M = 4)
+    # draws, naming start 1's streams and envelope
+    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 50)
+    monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
+    starts = np.array([[0.5, 0, 0, 0], [0.9, 0, 0, 0]])
+    grid = np.arange(16, dtype=np.uint64).reshape(2, 8)
+    with pytest.raises(MaxProposalsExceeded, match="after 0 proposals") as exc:
+        sample_exact_batch(unit_ball(4), starts, ExactConfig(), 1, grid)
+    assert np.array_equal(exc.value.stream_ids, grid[1])
+    assert exc.value.envelope == rejection_envelope(unit_ball(4), starts[1])
+
+
 def test_envelope_beyond_float64_is_refused_as_inf():
     # M = 10^398 at d = 400, rho = 0.9: refused by the cap, not an overflow
     theta = np.zeros(400)
@@ -506,6 +534,24 @@ def test_exact_batch_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_exact_start_grid_memory_stays_within_one_start():
+    # a (3, 10^5) grid draws each start's streams as their own batch into
+    # its rows, so it peaks no higher than the same 3*10^5 samples drawn as
+    # one start (~19 MiB); one lockstep batch of the three peaked at ~30 MiB
+    def peak_of(theta, stream_ids):
+        tracemalloc.start()
+        try:
+            sample_exact_batch(unit_ball(2), theta, ExactConfig(), 1, stream_ids)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ids = np.arange(300_000, dtype=np.uint64)
+    one = peak_of(np.array([0.5, 0.0]), ids)
+    grid = peak_of(np.tile([0.5, 0.0], (3, 1)), ids.reshape(3, -1))
+    assert grid <= one
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, None])

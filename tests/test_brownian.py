@@ -133,7 +133,7 @@ def test_exit_time_variance_at_the_centre(d):
     assert abs(tau.mean() - 1.0 / d) <= max(4 * tau.std() / math.sqrt(n), floor)
 
 
-def test_block_width_does_not_change_results(monkeypatch):
+def test_window_size_does_not_change_results(monkeypatch):
     # the blocks are lookahead windows of rounds: one round per window
     # (WINDOW_VALUES 1), windows of a few rounds, and the default; ball at
     # d=2, box at d=3
@@ -157,7 +157,7 @@ def cap_steps(monkeypatch, steps):
     monkeypatch.setattr(BrownianConfig, "resolve_max_steps", lambda self, domain: steps)
 
 
-def test_max_steps_cap_off_the_block_edge(monkeypatch):
+def test_max_steps_cap_off_the_window_edge(monkeypatch):
     # with an unbounded layer every round is a dt-step: the cap of 701
     # rounds ends partway through a lookahead window of up to 64 rounds,
     # and one round into a 7-round window; the pending positions are the
@@ -176,7 +176,7 @@ def test_max_steps_cap_off_the_block_edge(monkeypatch):
         assert np.array_equal(err.value.positions, want), values
 
 
-def test_block_memory_stays_small():
+def test_walk_memory_stays_small():
     # numpy reports its buffers to tracemalloc; 20,000 walks at d=2 hold a
     # few arrays of one value per walk and one lookahead window
     ball = Ball(np.zeros(2), 1.0)
@@ -257,7 +257,7 @@ def test_max_steps_carries_partial_state(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# --workers: accepted, and no knob of the walk
+# Multi-start batches, the config's one field dt, and the step cap
 # ---------------------------------------------------------------------------
 
 #: 700 streams from three starts, one per stream (an (m, 1) stream grid)
@@ -277,7 +277,7 @@ def test_config_has_the_single_field_dt():
         BrownianConfig(workers=2)
 
 
-def test_worker_threads_are_bit_identical(monkeypatch):
+def test_workers_knob_is_dropped_and_moves_no_bit(monkeypatch):
     # the command line's --workers reaches sampler_config, which drops it
     want = simulate_exit_batch(BALL2, THREE_STARTS, BrownianConfig(dt=1e-2), 7,
                                ids(700)[:, None])
@@ -288,7 +288,7 @@ def test_worker_threads_are_bit_identical(monkeypatch):
                           want)
 
 
-def test_threaded_max_steps_names_the_serial_pending_walks(monkeypatch):
+def test_max_steps_names_pending_walks_in_row_order_at_any_window(monkeypatch):
     # every walk still inside at the cap is named, in row order, with its
     # position, whatever the window size
     cap_steps(monkeypatch, 40)
@@ -380,3 +380,30 @@ def test_exit_times_positive_and_steps_consistent():
     assert (batch.steps >= 1).all()
     assert len(batch) == 300
     assert batch.dimension == 2
+
+
+def test_dt_whose_steps_overflow_a_crossing_names_dt_and_diameter():
+    with pytest.raises(ValueError, match=r"dt=1e\+307 is too large .* diameter 2: .* overflows"):
+        BrownianConfig(dt=1e307).resolve_max_steps(BALL2)
+    with pytest.raises(ValueError, match=r"dt=1e\+156 is too large .* diameter 2e\+80: "):
+        BrownianConfig(dt=1e156).resolve_max_steps(Ball(np.zeros(2), 1e80))
+    with pytest.raises(ValueError, match=r"dt=1e\+307 is too large .* diameter 5: "):
+        BrownianConfig(dt=1e307).resolve_max_steps(BoxDomain((0.0, 0.0), (3.0, 4.0)))
+    # below diameter sqrt(2) the crossing's 4 A bounds dt, not 2 D^2
+    with pytest.raises(ValueError, match=r"dt=5e\+305 is too large .* diameter 1: "):
+        BrownianConfig(dt=5e305).resolve_max_steps(Ball(np.zeros(2), 0.5))
+
+
+@pytest.mark.parametrize("radius, dt", [(1.0, 1e305), (0.5, 3e305)])
+def test_largest_accepted_dt_crosses_without_overflow(radius, dt):
+    # a step of Box-Muller's largest deviate in every coordinate, from near
+    # the boundary and from the centre, at a dt the check accepts
+    ball = Ball(np.zeros(2), radius)
+    BrownianConfig(dt=dt).resolve_max_steps(ball)
+    inside = radius * np.array([[-(1 - 1e-12), 0.0], [0.0, 0.0], [1 - 1e-12, 0.0]])
+    outside = inside + math.sqrt(dt * 106 * math.log(2))
+    with np.errstate(all="raise"):
+        pts, t = ball.crossing_many(inside, outside)
+    assert np.isfinite(pts).all() and ((0 < t) & (t <= 1)).all()
+    batch = simulate_exit_batch(ball, np.zeros(2), BrownianConfig(dt=dt), 3, ids(500))
+    assert np.isfinite(batch.points).all() and np.isfinite(batch.exit_times).all()

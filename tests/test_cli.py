@@ -648,6 +648,24 @@ def test_brownian_step_cap_beyond_2_62_exits_2_with_one_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "sample --method brownian --dt 1e307 --n 50",
+    "privacy --method brownian --dt 1e308 --trips 5",
+    "sample --method brownian --radius 1e80 --dt 1e156 --n 50",
+])
+def test_brownian_dt_too_large_exits_2_with_one_line(argv, tmp_path, capsys):
+    # steps this long overflowed the boundary crossing: numpy warned and
+    # the run wrote nan means, or wrong exits at radius 1e80
+    out = tmp_path / "out.csv"
+    assert exit_status(argv.split(), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    dt = argv.split("--dt ")[1].split()[0]
+    assert f"dt={float(dt):g} is too large for a domain of diameter " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sphere_redraw_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
     # every Gaussian word zero: the first direction exhausts its redraws
     monkeypatch.setattr(rng, "gaussian_values",
