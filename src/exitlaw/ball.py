@@ -26,7 +26,10 @@ the uniform one (Ahlfors 1981; Stoll 2016), so the harmonic measure is
 that ratio over its maximum leaves an envelope of (1 - rho)^-(d-2):
 one in the plane, where no proposal is ever rejected. A proposal reads
 its uniform only when its accept probability is below one, so the plane
-reads none.
+reads none. In the plane the accepted law is the wrapped Cauchy law
+(McCullagh 1996), so every interior start is served exactly; a start is
+refused only where the proposal cap would stop its samples
+(``sample_exact_batch``).
 
 Densities are with respect to unnormalized (d-1)-dimensional surface
 measure, so at the center K is the constant 1/(surface area).
@@ -43,14 +46,11 @@ from . import rng
 from .exits import ExitBatch
 from .geometry import BOUNDARY_RTOL, Ball, Domain
 
-#: sample_exact_batch refuses starts with rho/r beyond this; walk on
-#: spheres serves them.
-MAX_RHO_FRACTION = 1.0 - 1e-9
-
-#: Most proposals one exact sample may draw. A start whose envelope M
-#: (the mean proposals per sample) exceeds it is refused before drawing.
-#: At the table1 and privacy starts (M <= 25) a stream outlives the cap
-#: with probability (1 - 1/M)^cap < e^-40000.
+#: Most proposals one exact sample may draw. At envelope M (the mean
+#: proposals per sample) a stream outlives the cap with probability
+#: (1 - 1/M)^cap <= e^(-cap/M): below e^-40000 at the table1 and privacy
+#: starts (M <= 25). A start whose n streams expect more than 2^-20 of
+#: them stopped, n e^(-cap/M) > 2^-20, is refused before drawing.
 MAX_PROPOSALS = 1_000_000
 
 #: Most boundary nodes (d = 2) or sphere draws (d >= 3) one chunk of
@@ -206,7 +206,7 @@ def rejection_envelope(ball: Ball, theta) -> float:
 
 
 class MaxProposalsExceeded(RuntimeError):
-    """Raised when exact samples are still unaccepted after MAX_PROPOSALS proposals."""
+    """Raised when exact samples reach MAX_PROPOSALS unaccepted, or would (proposals 0)."""
 
     def __init__(self, proposals: int, envelope: float, stream_ids):
         self.proposals = proposals
@@ -248,25 +248,18 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     whose mean estimates ``rejection_envelope``. Accepted points are
     renormalized onto the sphere, which the map alone misses by rounding
     that grows as the start nears the boundary. Raises ValueError on a
-    domain that is not a Ball and for a start closer to the boundary
-    than MAX_RHO_FRACTION allows; MaxProposalsExceeded, before any draw,
-    for a start whose M exceeds MAX_PROPOSALS, and, naming the start's
-    unfinished streams and its M, when a sample's proposals reach it.
+    domain that is not a Ball; MaxProposalsExceeded, naming the start's
+    streams and its M, before any draw for a start whose n streams the
+    cap is expected to stop, n e^(-MAX_PROPOSALS/M) > 2^-20 (any start
+    with M = inf), and, naming its unfinished streams, when a sample's
+    proposals reach MAX_PROPOSALS.
     """
     if not isinstance(ball, Ball):
         raise ValueError("the exact sampler is defined for balls only")
     starts, grid = ball.interior_starts(theta, stream_ids)
-    r = ball.radius
     for start, row in zip(starts, grid):
-        rho = ball.radial_point(start, "theta")[1]
         envelope = rejection_envelope(ball, start)
-        if rho / r > MAX_RHO_FRACTION:
-            raise ValueError(
-                f"theta is within {r - rho:.3g} of the boundary, closer than "
-                f"the exact sampler serves (rho/r > {MAX_RHO_FRACTION!r}; envelope "
-                f"M = {envelope:.3g} proposals per sample). "
-                f"Use the walk-on-spheres sampler for near-boundary starts.")
-        if envelope > MAX_PROPOSALS:
+        if row.size * math.exp(-MAX_PROPOSALS / envelope) > 2.0 ** -20:
             raise MaxProposalsExceeded(0, envelope, row)
 
     n = grid.shape[1]

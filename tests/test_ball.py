@@ -235,14 +235,40 @@ def test_exact_sampler_rejects_non_ball_domains():
         sample_exact_batch(box, (0.1, 0.2), ExactConfig(), 0, np.arange(4, dtype=np.uint64))
 
 
-def test_near_boundary_start_rejected_with_advice():
-    b = unit_ball(2)
-    with pytest.raises(ValueError, match="walk-on-spheres") as exc:
-        sample_exact_batch(b, (1.0 - 1e-12, 0.0), ExactConfig(), 0,
+def test_near_boundary_start_rejected_with_advice(monkeypatch):
+    # the plane serves (1 - 1e-12, 0) at M = 1, one proposal per sample
+    batch = sample_exact_batch(unit_ball(2), (1.0 - 1e-12, 0.0), ExactConfig(), 0,
+                               np.arange(4, dtype=np.uint64))
+    assert (batch.steps == 1).all()
+    # in d = 3 it needs M = 1e12, and the cap would stop every stream
+    monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
+    with pytest.raises(MaxProposalsExceeded, match="after 0 proposals") as exc:
+        sample_exact_batch(unit_ball(3), (1.0 - 1e-12, 0.0, 0.0), ExactConfig(), 0,
                            np.arange(4, dtype=np.uint64))
-    # the message prices the start with the plane's envelope, M = 1
-    assert "M = 1 proposals" in str(exc.value)
-    assert "degenerate" not in str(exc.value)
+    assert exc.value.stream_ids.size == 4
+    assert "M = 1e+12" in str(exc.value) and "walk-on-spheres" in str(exc.value)
+
+
+@pytest.mark.parametrize("rho", [1.0 - 1e-9, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+def test_plane_start_at_the_boundary_edge_follows_the_wrapped_cauchy_law(rho):
+    # in the plane the exit angle phi from a-hat is wrapped Cauchy: its CDF
+    # maps phi to 1/2 + arctan((1 + rho)/(1 - rho) tan(phi/2))/pi, uniform
+    n = 100_000
+    batch = sample_exact_batch(unit_ball(2), (rho, 0.0), ExactConfig(), 1,
+                               np.arange(n, dtype=np.uint64))
+    assert (batch.steps == 1).all()
+    assert np.abs(np.hypot(batch.points[:, 0], batch.points[:, 1]) - 1.0).max() <= 1e-15
+    phi = np.arctan2(batch.points[:, 1], batch.points[:, 0])
+    u = 0.5 + np.arctan((1.0 + rho) / (1.0 - rho) * np.tan(phi / 2)) / math.pi
+    assert sps.kstest(u, "uniform").pvalue > 1e-3
+
+
+def test_line_start_at_the_boundary_edge_exits_at_the_ends():
+    b = Ball(np.zeros(1), 2.0)
+    for th in (np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0)):
+        batch = sample_exact_batch(b, (th,), ExactConfig(), 4,
+                                   np.arange(1000, dtype=np.uint64))
+        assert set(np.unique(batch.points[:, 0])) <= {-2.0, 2.0}
 
 
 def test_exact_points_on_boundary_and_deterministic():
@@ -328,29 +354,41 @@ def test_exact_points_stay_on_sphere_at_the_refusal_edge(monkeypatch):
     assert np.abs(radii - 2.0).max() <= 1e-9 * 2.0
 
 
-def test_proposal_cap_names_drawn_envelope_and_unfinished(monkeypatch):
-    # d = 4, rho = 0.9: M = 100, so with a cap of 150 a stream outlives
-    # it with probability 0.99^150 ~ 0.22
-    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 150)
-    ends = []
+def stick_streams(monkeypatch, stuck, ends=None):
+    """Make every proposal with p < 1 reject on the streams in ``stuck``.
+
+    Their uniforms read 1 - 2^-53, the largest below 1; the other streams
+    read their own. ``ends`` collects the end of each uniform request.
+    """
     uniform_values = rng.uniform_values
 
-    def spy(seed, ids, start, count):
-        ends.append(start + count)
-        return uniform_values(seed, ids, start, count)
+    def stub(seed, ids, start, count):
+        if ends is not None:
+            ends.append(start + count)
+        u = uniform_values(seed, ids, start, count)
+        u[np.isin(ids, stuck)] = 1.0 - 2.0 ** -53
+        return u
 
-    monkeypatch.setattr(rng, "uniform_values", spy)
+    monkeypatch.setattr(rng, "uniform_values", stub)
+
+
+def test_proposal_cap_names_drawn_envelope_and_unfinished(monkeypatch):
+    # d = 4, rho = 0.2: M = 1.5625, which the up-front rule passes; the odd
+    # streams never accept, so they reach a cap of 150 and the even finish
+    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 150)
+    ids = np.arange(64, dtype=np.uint64)
+    ends = []
+    stick_streams(monkeypatch, ids[1::2], ends)
     with pytest.raises(MaxProposalsExceeded) as exc:
-        sample_exact_batch(unit_ball(4), (0.9, 0, 0, 0), ExactConfig(), 1,
-                           np.arange(64, dtype=np.uint64))
+        sample_exact_batch(unit_ball(4), (0.2, 0, 0, 0), ExactConfig(), 1, ids)
     err = exc.value
     assert err.proposals == 150
-    assert err.envelope == pytest.approx(100.0)
-    assert 0 < err.stream_ids.size < 64
+    assert err.envelope == pytest.approx(1.5625)
+    assert np.array_equal(err.stream_ids, ids[1::2])
     assert max(ends) == 150   # the last window is clipped to the cap
     msg = str(err)
-    assert f"{err.stream_ids.size} exact sample(s)" in msg
-    assert "150 proposals" in msg and "M = 100" in msg and "walk-on-spheres" in msg
+    assert "32 exact sample(s)" in msg
+    assert "150 proposals" in msg and "M = 1.56" in msg and "walk-on-spheres" in msg
 
 
 def test_envelope_above_cap_refused_before_drawing(monkeypatch):
@@ -363,31 +401,45 @@ def test_envelope_above_cap_refused_before_drawing(monkeypatch):
 
 
 def test_start_grid_cap_names_only_the_capping_start(monkeypatch):
-    # the starts run one after another: start 0 (M = 4) finishes, and
-    # start 1 (M = 100) reaches a cap of 150 with only its own streams
+    # the starts run one after another: start 0 (M = 4) finishes, and the
+    # odd streams of start 1 (M = 1.5625) never accept, so they reach a cap
+    # of 150 alone
     monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 150)
-    starts = np.array([[0.5, 0, 0, 0], [0.9, 0, 0, 0]])
+    starts = np.array([[0.5, 0, 0, 0], [0.2, 0, 0, 0]])
     grid = np.arange(2 * 64, dtype=np.uint64).reshape(2, 64)
+    stick_streams(monkeypatch, grid[1, 1::2])
     with pytest.raises(MaxProposalsExceeded) as exc:
         sample_exact_batch(unit_ball(4), starts, ExactConfig(), 1, grid)
     err = exc.value
     assert err.proposals == 150
     assert err.envelope == rejection_envelope(unit_ball(4), starts[1])
-    assert 0 < err.stream_ids.size < 64 and np.isin(err.stream_ids, grid[1]).all()
-    assert f"{err.stream_ids.size} exact sample(s)" in str(err) and "M = 100" in str(err)
+    assert np.array_equal(err.stream_ids, grid[1, 1::2])
+    assert "32 exact sample(s)" in str(err) and "M = 1.56" in str(err)
 
 
 def test_start_grid_envelope_above_cap_refused_before_any_start_draws(monkeypatch):
-    # start 1's M = 100 exceeds a cap of 50: refused before start 0 (M = 4)
-    # draws, naming start 1's streams and envelope
+    # with a cap of 50, start 1 (M = 100) expects 8 e^-0.5 of its 8 streams
+    # stopped: refused before start 0 (M = 1.5625, 8 e^-32) draws, naming
+    # start 1's streams and envelope
     monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 50)
     monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
-    starts = np.array([[0.5, 0, 0, 0], [0.9, 0, 0, 0]])
+    starts = np.array([[0.2, 0, 0, 0], [0.9, 0, 0, 0]])
     grid = np.arange(16, dtype=np.uint64).reshape(2, 8)
     with pytest.raises(MaxProposalsExceeded, match="after 0 proposals") as exc:
         sample_exact_batch(unit_ball(4), starts, ExactConfig(), 1, grid)
     assert np.array_equal(exc.value.stream_ids, grid[1])
     assert exc.value.envelope == rejection_envelope(unit_ball(4), starts[1])
+
+
+def test_up_front_refusal_counts_the_streams_the_cap_would_stop(monkeypatch):
+    # d = 3, M = 70, cap 1000: n e^(-1000/70) = n 6.2e-7 against 2^-20 = 9.5e-7,
+    # so one stream draws and two are refused
+    monkeypatch.setattr(ball_module, "MAX_PROPOSALS", 1000)
+    th = (1.0 - 1.0 / 70.0, 0.0, 0.0)
+    assert rejection_envelope(unit_ball(3), th) == pytest.approx(70.0)
+    assert sample_exact_batch(unit_ball(3), th, ExactConfig(), 2, [0]).steps[0] >= 1
+    with pytest.raises(MaxProposalsExceeded, match="2 exact sample.*after 0 proposals"):
+        sample_exact_batch(unit_ball(3), th, ExactConfig(), 2, [0, 1])
 
 
 def test_envelope_beyond_float64_is_refused_as_inf():

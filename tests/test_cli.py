@@ -612,15 +612,53 @@ def test_runtime_errors_exit_2(capsys):
 
 
 def test_exact_proposal_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
-    # d = 4, rho = 0.9 needs M = 100 proposals per sample; cap them at 150
+    # d = 4, rho = 0.2 (M = 1.5625) passes the up-front rule at a cap of 150;
+    # uniforms of 1 - 2^-53 reject every proposal, so each stream reaches it
     monkeypatch.setattr(ball, "MAX_PROPOSALS", 150)
-    status = main(["sample", "--method", "exact", "--dim", "4", "--theta", "0.9,0,0,0",
+    monkeypatch.setattr(rng, "uniform_values", lambda seed, ids, start, count:
+                        np.full((len(ids), count), 1.0 - 2.0 ** -53))
+    status = main(["sample", "--method", "exact", "--dim", "4", "--theta", "0.2,0,0,0",
                    "--n", "64", "--seed", "1", "--out", str(tmp_path / "s.csv")])
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "after 150 proposals" in err and "walk-on-spheres" in err
-    assert "Traceback" not in err
+    assert "64 exact sample(s) unaccepted after 150 proposals" in err
+    assert "walk-on-spheres" in err and "Traceback" not in err
+
+
+def test_exact_start_the_cap_would_stop_exits_2_before_drawing(monkeypatch, tmp_path, capsys):
+    # d = 4, rho = 0.999: M = 999,999.99, just under the cap, yet the cap
+    # would stop 3 e^-1 of the 3 streams
+    monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
+    out = tmp_path / "s.csv"
+    status = main(["sample", "--method", "exact", "--dim", "4", "--theta", "0.999,0,0,0",
+                   "--n", "3", "--out", str(out)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "3 exact sample(s) unaccepted after 0 proposals" in err and "walk-on-spheres" in err
+    assert not out.exists()
+
+
+def test_exact_house_below_the_refusal_draws(monkeypatch, tmp_path):
+    # d = 5, rho = 0.97: M ~ 37,000, so 100 trips expect 100 e^-27 ~ 2e-10 of
+    # their streams stopped: not refused, the run reaches its first draw
+    class Drew(Exception):
+        pass
+
+    def sphere_rows(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(rng, "sphere_rows", sphere_rows)
+    with pytest.raises(Drew):
+        main(["privacy", "--method", "exact", "--house", "0.97,0,0,0,0", "--trips", "100",
+              "--out", str(tmp_path / "p.csv")])
+
+
+def test_exact_plane_house_at_the_boundary_edge_runs(tmp_path):
+    assert main(["privacy", "--method", "exact", "--house", "0.999999999999,0",
+                 "--trips", "100", "--replications", "5",
+                 "--out", str(tmp_path / "p.csv")]) == 0
 
 
 def test_brownian_step_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):

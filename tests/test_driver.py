@@ -211,12 +211,20 @@ def test_a_start_outside_the_domain_is_named(method):
     assert re.search(re.escape(str(starts[1])), msg), msg
 
 
-def test_a_near_boundary_start_keeps_the_exact_refusal():
+def test_a_near_boundary_start_keeps_the_exact_refusal(monkeypatch):
+    # the plane serves a start 1e-12 from the boundary at M = 1
     starts = np.array([[0.2, 0.0], [1.0 - 1e-12, 0.0]])
-    with pytest.raises(ValueError, match="walk-on-spheres") as exc:
-        driver.sample_exits(DISK, starts, ExactConfig(), 5, seed=0, context=[0, 1])
-    assert f"rho/r > {ball.MAX_RHO_FRACTION!r}" in str(exc.value)
-    assert "\n" not in str(exc.value)
+    batch = driver.sample_exits(DISK, starts, ExactConfig(), 5, seed=0, context=[0, 1])
+    assert len(batch) == 10 and (batch.steps == 1).all()
+    # in d = 3 the cap would stop every stream of start 1 (M = 1e12):
+    # refused before start 0 draws, naming start 1's streams
+    monkeypatch.setattr(rng, "sphere_rows", None)   # any draw would fail
+    starts = np.array([[0.2, 0.0, 0.0], [1.0 - 1e-12, 0.0, 0.0]])
+    with pytest.raises(ball.MaxProposalsExceeded, match="after 0 proposals") as exc:
+        driver.sample_exits(Ball(np.zeros(3), 1.0), starts, ExactConfig(), 5, seed=0,
+                            context=[0, 1])
+    assert np.array_equal(exc.value.stream_ids, driver.stream_block(1, 5))
+    assert "walk-on-spheres" in str(exc.value) and "\n" not in str(exc.value)
 
 
 def test_starts_and_contexts_must_pair_up():
