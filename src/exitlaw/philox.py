@@ -18,6 +18,9 @@ counter  = (block_index, substream, 0, 0)
 block    = 4 output words; word ``w`` of a substream lives in block
            ``w >> 2``, lane ``w & 3``.
 
+``philox4x64`` enciphers only this layout, whose constant counter words
+let it fold the first two rounds (see there).
+
 Tiles
 -----
 ``raw_words`` enciphers a request in tiles of at most ``_CHUNK_BLOCKS``
@@ -43,6 +46,7 @@ _W1 = np.uint64(0xBB67AE8584CAA73B)
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
+_MASK64 = (1 << 64) - 1
 _SH32 = _U64(32)
 _ROUNDS = 10
 _M0_HI, _M0_LO = _U64(int(_M0) >> 32), _M0 & _MASK32
@@ -81,32 +85,46 @@ def _mulhi(c_hi, c_lo, x, out, t1, t2, t3):
     return out
 
 
-def philox4x64(x0, x1, x2, x3, k0, k1):
-    """Run the 10-round block cipher on counter words (x0..x3) under (k0, k1).
+def philox4x64(blocks, substream: int, seed: int, ids):
+    """The 10-round cipher on counters ``(block, substream, 0, 0)`` under keys ``(seed, id)``.
 
-    All arguments are uint64 arrays (broadcastable); returns the four
-    output lanes as arrays of the broadcast shape.
+    blocks is a (nblocks,) and ids an (m, 1) uint64 array; returns the
+    four output lanes, each (m, nblocks). Every request enciphers this
+    layout, so the first two rounds are folded: round 1's x2 and x3 are
+    zero, so its M1 product vanishes and its M0 product depends on the
+    block alone, and round 2's x0 and x1 are still constants, so its M0
+    product is a scalar. Only rounds 2-10's M1 and rounds 3-10's M0
+    products run on (m, nblocks) arrays.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (x0, x1, x2, x3, k1)))
-    x0, x1, x2, x3 = (np.array(np.broadcast_to(np.asarray(a, dtype=_U64), shape))
-                      for a in (x0, x1, x2, x3))
-    k0 = _U64(k0)
-    k1 = np.asarray(k1, dtype=_U64) + _U64(0)
-    hi0, hi1, t1, t2, t3 = (np.empty(shape, dtype=_U64) for _ in range(5))
+    shape = (ids.shape[0], blocks.shape[0])
+    x0, x1, x3_buf, hi0, hi1, t1, t2, t3 = (np.empty(shape, dtype=_U64) for _ in range(8))
     with np.errstate(over="ignore"):
-        for _ in range(_ROUNDS):
+        # round 1, key (seed, id): x0 = substream ^ seed, x1 = 0,
+        # x2 = hi(M0 b) ^ id, x3 = lo(M0 b)
+        x2 = ids ^ _mulhi(_M0_HI, _M0_LO, blocks, *(np.empty_like(blocks) for _ in range(4)))
+        lo_b = blocks * _M0
+        p = (substream ^ seed) * int(_M0)    # round 2's M0 product, all 128 bits
+        # round 2, key (seed + W0, id + W1): x0 = hi(M1 x2) ^ k0, x1 = lo(M1 x2),
+        # x2 = lo(M0 b) ^ hi(p) ^ k1, x3 = lo(p), a scalar until round 3
+        k0, k1 = _U64((seed + int(_W0)) & _MASK64), ids + _W1
+        _mulhi(_M1_HI, _M1_LO, x2, x0, t1, t2, t3)
+        x0 ^= k0
+        np.multiply(x2, _M1, out=x1)
+        np.bitwise_xor(lo_b, k1 ^ _U64(p >> 64), out=x2)
+        x3 = _U64(p & _MASK64)
+        for _ in range(2, _ROUNDS):
+            k0 = k0 + _W0
+            k1 = k1 + _W1
             _mulhi(_M0_HI, _M0_LO, x0, hi0, t1, t2, t3)
             _mulhi(_M1_HI, _M1_LO, x2, hi1, t1, t2, t3)
             hi1 ^= x1
-            hi1 ^= k0                     # new x0
+            hi1 ^= k0                              # new x0
             hi0 ^= x3
-            hi0 ^= k1                     # new x2
-            np.multiply(x2, _M1, out=x1)  # new x1: low word of M1*x2
-            np.multiply(x0, _M0, out=x3)  # new x3: low word of M0*x0
+            hi0 ^= k1                              # new x2
+            np.multiply(x2, _M1, out=x1)           # new x1: low word of M1*x2
+            x3 = np.multiply(x0, _M0, out=x3_buf)  # new x3: low word of M0*x0
             x0, hi1 = hi1, x0
             x2, hi0 = hi0, x2
-            k0 = k0 + _W0
-            k1 = k1 + _W1
     return x0, x1, x2, x3
 
 
@@ -156,9 +174,8 @@ def _fill_words(seed, ids, substream, start, count, out):
     """One tile: the cipher on every (stream, block) of the word range at once."""
     b0 = start >> 2
     nblocks = ((start + count + 3) >> 2) - b0
-    ctr = np.empty((ids.shape[0], nblocks), dtype=_U64)
-    ctr[:] = _U64(b0) + np.arange(nblocks, dtype=_U64)
-    lanes = philox4x64(ctr, _U64(substream), _U64(0), _U64(0), seed, ids[:, None])
+    blocks = _U64(b0) + np.arange(nblocks, dtype=_U64)
+    lanes = philox4x64(blocks, substream, seed, ids[:, None])
     # Output word w is lane (off + w) & 3 of block (off + w) >> 2.
     off = start - 4 * b0
     for k, lane in enumerate(lanes):

@@ -17,8 +17,9 @@ outside the shell after ``MAX_HOPS`` hops raises MaxHopsExceeded.
 The batch kernel hops all live walks in lockstep, whatever their
 starts, so a batch of several starts pays each round's Python cost
 once. It keeps the live walks compacted: an absorbed walk's row leaves
-the position, distance and lookahead-direction arrays in the round it
-is absorbed, so no round gathers live rows out of the full batch.
+the position and distance arrays in the round it is absorbed, and each
+round gathers the live walks' directions from the lookahead window by
+row index, so an absorption copies no window.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
 
     theta is one start (d,) with stream ids (n,), or k starts (k, d)
     with a (k, n) stream grid whose row i holds start i's streams. Hop h
-    of a stream reads its direction from Gaussian words [h*d, (h+1)*d)
-    of it and moves the walk by its distance to the boundary along that
-    direction. The live walks are kept compacted: an absorbed walk
-    leaves the position, distance and direction arrays, and all absorbed
-    points are projected onto the boundary at the end.
+    of a stream takes direction h of it (``rng.sphere_rows``: words
+    [h*(d-1), (h+1)*(d-1)) in d = 2, 3, 4) and moves the walk by its
+    distance to the boundary along that direction. The live walks are
+    kept compacted: an absorbed walk leaves the position and distance
+    arrays and the window's row index, and all absorbed points are
+    projected onto the boundary at the end.
     """
     eps = cfg.resolve_epsilon(domain)
     starts, grid = domain.interior_starts(theta, stream_ids)
@@ -87,9 +89,10 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
     live = np.arange(m)        # batch row of each live walk
     done, last = [], []        # batch rows and last positions of absorbed walks
     hop = 0
-    # Directions of hops [first, first + K) of the live walks, one request
-    # per window.
-    dirs, first = np.empty((m, 0, d)), 0
+    # Directions of hops [first, first + K) of the walks live at the
+    # window's request, one request per window; row[i] is live walk i's
+    # row in it, so an absorbed walk leaves only row.
+    dirs, row, first = np.empty((m, 0, d)), live, 0
 
     while live.size:
         dist = domain.distance_to_boundary_many(Y)
@@ -99,17 +102,16 @@ def wos_exit_batch(domain: Domain, theta, cfg: WosConfig, seed: int,
             last.append(Y[absorbed])
             hops[done[-1]] = hop
             keep = ~absorbed
-            live, Y, dist = live[keep], Y[keep], dist[keep]
+            live, Y, dist, row = live[keep], Y[keep], dist[keep], row[keep]
             if not live.size:
                 break
-            dirs, first = dirs[keep, hop - first:], hop
         if hop >= MAX_HOPS:
             raise MaxHopsExceeded(hop, ids[live], Y)
         if hop == first + dirs.shape[1]:
             k = min(rng.lookahead_rounds(live.size, d, hop), MAX_HOPS - hop)
-            dirs = rng.sphere_rows(seed, ids[live], hop * d, d, rounds=k)
-            first = hop
-        Y += dist[:, None] * dirs[:, hop - first]
+            dirs = rng.sphere_rows(seed, ids[live], hop, d, rounds=k)
+            row, first = np.arange(live.size), hop
+        Y += dist[:, None] * dirs[row, hop - first]
         hop += 1
 
     points = np.empty((m, d))

@@ -12,7 +12,9 @@ def zero_directions(monkeypatch):
 
     ``install(d, degenerate)`` takes the dimension and a map from stream
     id to the first words s of the directions whose main Gaussian words
-    [s, s + d) read as zeros, so ``rng.sphere_rows`` must redraw them. It returns the list
+    [s, s + d) read as zeros, so ``rng.unit_rows`` must redraw them (in
+    ``rng.sphere_rows`` only outside d = 2, 3, 4, whose directions read
+    no Gaussians). It returns the list
     of retry requests, one (stream, start, substream) per redraw attempt,
     which fills as the stub runs.
     """

@@ -517,7 +517,7 @@ def per_round_exact(ball, theta, seed, stream_ids):
     steps = np.empty(stream_ids.size, dtype=np.int64)
     alive, t = np.arange(stream_ids.size), 0
     while alive.size:
-        x = rng.sphere_rows(seed, stream_ids[alive], t * d, d)[:, 0]
+        x = rng.sphere_rows(seed, stream_ids[alive], t, d)[:, 0]
         v = x + a
         s2 = np.einsum("ij,ij->i", v, v)
         u = rng.uniform_values(seed, stream_ids[alive], t, 1)[:, 0]
@@ -611,10 +611,11 @@ def test_lookahead_window_matches_per_round_proposals_with_redraws(
         monkeypatch, zero_directions, k):
     # degenerate directions at the first proposal and at later ones of
     # streams that live for several proposals are redrawn the same inside
-    # any window as one proposal at a time
-    d = 3
+    # any window as one proposal at a time (d = 5: the dimensions below
+    # draw directions from raw words, with no redraws)
+    d = 5
     b = Ball(np.zeros(d), 1.0)
-    th = np.array([0.8, 0.0, 0.0])                 # M = 5: several proposals
+    th = np.array([0.5, 0.0, 0.0, 0.0, 0.0])       # M = 8: several proposals
     ids = np.arange(200, dtype=np.uint64)
     long = ids[sample_exact_batch(b, th, ExactConfig(), 4, ids).steps >= 5][:6].tolist()
     retries = zero_directions(d, {0: (0,)} | {sid: (d, 2 * d, 4 * d) for sid in long})

@@ -20,6 +20,12 @@ def ids(n):
     return np.arange(n, dtype=np.uint64)
 
 
+def hop_directions(seed, n, d):
+    """First-round hop directions of streams 0..n-1: Gaussian words [0, d), by rng.unit_rows."""
+    g = rng.gaussian_values(seed, ids(n), 0, d).reshape(n, 1, d)
+    return rng.unit_rows(seed, ids(n), 0, g)[:, 0]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BrownianConfig(dt=0.0)
@@ -94,7 +100,7 @@ def test_first_round_hops_one_step_short_of_the_inscribed_sphere(monkeypatch):
     cap_steps(monkeypatch, 1)
     with pytest.raises(MaxStepsExceeded) as err:
         simulate_exit_batch(BALL2, THETA2, BrownianConfig(dt=1e-4), 9, ids(64))
-    dirs = rng.sphere_rows(9, ids(64), 0, 2)[:, 0]
+    dirs = hop_directions(9, 64, 2)
     assert np.array_equal(err.value.stream_ids, ids(64))
     assert np.array_equal(err.value.positions, THETA2 + (0.5 - math.sqrt(1e-4)) * dirs)
     assert (BALL2.distance_to_boundary_many(err.value.positions) >= 0.01 - 1e-15).all()
@@ -102,7 +108,7 @@ def test_first_round_hops_one_step_short_of_the_inscribed_sphere(monkeypatch):
 
 def test_hop_directions_share_the_sphere_redraws(monkeypatch):
     # a floor of 0.3 redraws ~4 % of the 2-d hop directions from the retry
-    # substreams: the hops still equal rng.sphere_rows' directions, and
+    # substreams: the hops still equal rng.unit_rows' directions, and
     # the walks are still the same in any window
     monkeypatch.setattr(rng, "NORM_FLOOR", 0.3)
     cfg = BrownianConfig(dt=1e-4)
@@ -112,7 +118,7 @@ def test_hop_directions_share_the_sphere_redraws(monkeypatch):
     cap_steps(monkeypatch, 1)
     with pytest.raises(MaxStepsExceeded) as err:
         simulate_exit_batch(BALL2, THETA2, cfg, 9, ids(64))
-    dirs = rng.sphere_rows(9, ids(64), 0, 2)[:, 0]
+    dirs = hop_directions(9, 64, 2)
     assert np.array_equal(err.value.positions, THETA2 + (0.5 - math.sqrt(1e-4)) * dirs)
 
 

@@ -705,11 +705,14 @@ def test_brownian_dt_too_large_exits_2_with_one_line(argv, tmp_path, capsys):
 
 
 def test_sphere_redraw_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
-    # every Gaussian word zero: the first direction exhausts its redraws
+    # every Gaussian word zero: the first brownian hop direction exhausts
+    # its redraws in rng.unit_rows (wos directions in d <= 4 read no
+    # Gaussians)
     monkeypatch.setattr(rng, "gaussian_values",
                         lambda seed, ids, start, count, substream=rng.TAG_GAUSS:
                         np.zeros(np.shape(ids) + (count,)))
-    status = main(["sample", "--method", "wos", "--n", "4", "--out", str(tmp_path / "s.csv")])
+    status = main(["sample", "--method", "brownian", "--n", "4",
+                   "--out", str(tmp_path / "s.csv")])
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: stream 0: ") and err.count("\n") == 1

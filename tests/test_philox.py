@@ -125,10 +125,9 @@ def test_vectorized_matches_scalar_streams():
 
 
 def test_cipher_avalanche():
-    # flipping one counter bit should flip ~half the output bits
-    base = philox.philox4x64(U64(0), U64(0), U64(0), U64(0), 0, U64(0))
-    flip = philox.philox4x64(U64(1), U64(0), U64(0), U64(0), 0, U64(0))
-    diff = sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(base, flip))
+    # flipping one counter bit (block 0 -> 1) should flip ~half the output bits
+    lanes = philox.philox4x64(np.array([0, 1], dtype=U64), 0, 0, np.zeros((1, 1), dtype=U64))
+    diff = sum(bin(int(lane[0, 0]) ^ int(lane[0, 1])).count("1") for lane in lanes)
     assert 80 < diff < 176  # 256 output bits, expect ~128 flips
 
 

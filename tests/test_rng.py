@@ -1,5 +1,8 @@
 """Distributional and reproducibility tests for the stream layer."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -129,7 +132,8 @@ def test_sphere_angles_uniform_d2():
 
 
 def test_underflow_redraw_uses_retry_substream(monkeypatch):
-    # force the guard: stream 5's main Gaussians all have zero norm
+    # force the guard: stream 5's main Gaussians all have zero norm (d = 5:
+    # directions in d <= 4 read no Gaussians)
     real, retry_calls = rng.gaussian_values, []
 
     def fake(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
@@ -139,9 +143,9 @@ def test_underflow_redraw_uses_retry_substream(monkeypatch):
         return np.zeros((np.size(stream_ids), count))
 
     monkeypatch.setattr(rng, "gaussian_values", fake)
-    q = rng.sphere_rows(13, np.array([5], dtype=np.uint64), 0, 3)[0, 0]
-    assert retry_calls == [(5, 0, 3)]
-    expect = real(13, 5, 0, 3, substream=rng.TAG_RETRY)
+    q = rng.sphere_rows(13, np.array([5], dtype=np.uint64), 0, 5)[0, 0]
+    assert retry_calls == [(5, 0, 5)]
+    expect = real(13, 5, 0, 5, substream=rng.TAG_RETRY)
     assert np.array_equal(q, expect / np.linalg.norm(expect))
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
 
@@ -153,9 +157,9 @@ def test_sphere_rows_matches_sequential_streams():
     # final division differently). The sampler kernels are batch-only, so
     # their bit-exactness never rests on this.
     ids = np.arange(6, dtype=np.uint64)
-    batch = rng.sphere_rows(31, ids, 0, 4)[:, 0]
+    batch = rng.sphere_rows(31, ids, 0, 5)[:, 0]
     for i in range(6):
-        g = rng.gaussian_values(31, i, 0, 4)
+        g = rng.gaussian_values(31, i, 0, 5)
         q = g / np.sqrt(g @ g)
         np.testing.assert_allclose(batch[i], q, rtol=3e-16, atol=0)
 
@@ -170,15 +174,16 @@ def test_sphere_rows_batch_width_invariant():
 
 
 def test_sphere_rows_redraw_is_pure(zero_directions):
-    # stream 7's direction at word s = 9 is degenerate: its redraw is the
-    # same in a 5-round window from word 3, alone, and in a wider batch,
-    # and it is tag 2's words [s, s + d), normalized as a main direction is
-    d, s = 3, 9
+    # stream 7's direction of round 2 (word s = 10) is degenerate: its
+    # redraw is the same in a 5-round window from round 1, alone, and in a
+    # wider batch, and it is tag 2's words [s, s + d), normalized as a main
+    # direction is
+    d, s = 5, 10
     w = rng.gaussian_values(4, 7, s, d, substream=rng.TAG_RETRY)
     retries = zero_directions(d, {7: (s,)})
-    window = rng.sphere_rows(4, np.array([7], dtype=np.uint64), 3, d, rounds=5)[0, 2]
-    alone = rng.sphere_rows(4, np.array([7], dtype=np.uint64), s, d)[0, 0]
-    wide = rng.sphere_rows(4, np.array([1, 7, 30], dtype=np.uint64), s, d, rounds=2)[1, 0]
+    window = rng.sphere_rows(4, np.array([7], dtype=np.uint64), 1, d, rounds=5)[0, 1]
+    alone = rng.sphere_rows(4, np.array([7], dtype=np.uint64), 2, d)[0, 0]
+    wide = rng.sphere_rows(4, np.array([1, 7, 30], dtype=np.uint64), 2, d, rounds=2)[1, 0]
     assert retries == [(7, s, rng.TAG_RETRY)] * 3
     assert np.array_equal(window, alone) and np.array_equal(wide, alone)
     assert np.array_equal(alone, w / np.sqrt(np.einsum("i,i", w, w)))
@@ -194,11 +199,11 @@ def test_sphere_rows_redraws_are_capped(monkeypatch):
         return np.zeros(np.shape(stream_ids) + (count,))
 
     monkeypatch.setattr(rng, "gaussian_values", zeros)
-    with pytest.raises(RuntimeError, match=rf"stream 5: .* Gaussian word 6 .* "
+    with pytest.raises(RuntimeError, match=rf"stream 5: .* Gaussian word 10 .* "
                                            rf"after {rng.MAX_REDRAWS} redraw attempts"):
-        rng.sphere_rows(1, np.array([5], dtype=np.uint64), 6, 3)
-    assert calls == [(6, 3, rng.TAG_GAUSS)] + [(6, 3, rng.TAG_RETRY + a)
-                                               for a in range(rng.MAX_REDRAWS)]
+        rng.sphere_rows(1, np.array([5], dtype=np.uint64), 2, 5)
+    assert calls == [(10, 5, rng.TAG_GAUSS)] + [(10, 5, rng.TAG_RETRY + a)
+                                                for a in range(rng.MAX_REDRAWS)]
 
 
 def test_lookahead_rounds_doubles_within_caps():
@@ -219,21 +224,151 @@ def test_lookahead_rounds_doubles_within_caps():
 
 def test_sphere_rows_window_matches_single_rounds():
     ids = np.array([3, 8, 2**35], dtype=np.uint64)
-    window = rng.sphere_rows(12, ids, 6, 3, rounds=5)
-    assert window.shape == (3, 5, 3)
-    for t in range(5):
-        assert np.array_equal(window[:, t], rng.sphere_rows(12, ids, 6 + 3 * t, 3)[:, 0])
+    for d in (2, 3, 4, 5):
+        window = rng.sphere_rows(12, ids, 6, d, rounds=5)
+        assert window.shape == (3, 5, d)
+        for t in range(5):
+            assert np.array_equal(window[:, t], rng.sphere_rows(12, ids, 6 + t, d)[:, 0])
 
 
 def test_sphere_rows_window_redraws_round_by_round(zero_directions):
     # zero the main Gaussians of (stream 1, rounds 0 and 2) and (stream 0,
     # round 2): the window must redraw them exactly as five one-round
     # calls do
-    d = 2
+    d = 5
     retries = zero_directions(d, {1: (0, 2 * d), 0: (2 * d,)})
     ids = np.array([0, 1, 2], dtype=np.uint64)
     window = rng.sphere_rows(4, ids, 0, d, rounds=5)
-    assert sorted(retries) == [(0, 4, 2), (1, 0, 2), (1, 4, 2)]
+    assert sorted(retries) == [(0, 10, 2), (1, 0, 2), (1, 10, 2)]
     for t in range(5):
-        assert np.array_equal(window[:, t], rng.sphere_rows(4, ids, t * d, d)[:, 0])
+        assert np.array_equal(window[:, t], rng.sphere_rows(4, ids, t, d)[:, 0])
     assert np.allclose(np.linalg.norm(window, axis=2), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# directions from raw words in d = 2, 3, 4
+# ---------------------------------------------------------------------------
+
+
+def word_directions_reference(seed, ids, first, d, rounds):
+    """The module docstring's direction formulas, out of place, with np.cos and np.sin."""
+    w = rng.SPHERE_WORDS[d]
+    words = philox.raw_words(seed, ids, rng.TAG_GAUSS, first * w, rounds * w)
+    u = ((words >> np.uint64(11)) * 2.0 ** -53).reshape(len(ids), rounds, w)
+
+    def circle(v):
+        return np.stack([np.cos(2.0 * np.pi * v), np.sin(2.0 * np.pi * v)], axis=-1)
+
+    if d == 2:
+        return circle(u[..., 0])
+    if d == 3:
+        s = 2.0 * np.sqrt(u[..., 0] * (1.0 - u[..., 0]))
+        return np.concatenate([s[..., None] * circle(u[..., 1]),
+                               2.0 * u[..., :1] - 1.0], axis=-1)
+    return np.concatenate([np.sqrt(1.0 - u[..., :1]) * circle(u[..., 1]),
+                           np.sqrt(u[..., :1]) * circle(u[..., 2])], axis=-1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_word_directions_follow_the_formulas(d):
+    # the table sin/cos differs from libm on the rounded angle by < 1e-15
+    ids = np.array([0, 5, 2**40, 2**64 - 1], dtype=np.uint64)
+    got = rng.sphere_rows(17, ids, 3, d, rounds=50)
+    want = word_directions_reference(17, ids, 3, d, 50)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+
+
+def many_directions(d, n=40_000):
+    """n directions of round 0, one per stream, as (n, d)."""
+    return rng.sphere_rows(5, np.arange(n, dtype=np.uint64), 0, d)[:, 0]
+
+
+def test_word_direction_marginals_are_uniform():
+    # d = 2: the angle; d = 3: Archimedes' z ~ U[-1, 1] and the azimuth;
+    # d = 4: the first pair's squared radius ~ U[0, 1]
+    crit = 1.63 / math.sqrt(40_000)   # 1 % critical value of the KS statistic
+    y2, y3, y4 = (many_directions(d) for d in (2, 3, 4))
+    samples = [(np.arctan2(y2[:, 1], y2[:, 0]) + np.pi) / (2 * np.pi),
+               (y3[:, 2] + 1.0) / 2.0,
+               (np.arctan2(y3[:, 1], y3[:, 0]) + np.pi) / (2 * np.pi),
+               y4[:, 0] ** 2 + y4[:, 1] ** 2]
+    for u in samples:
+        assert sps.kstest(u, "uniform").statistic < crit
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_word_directions_are_isotropic_and_unit(d):
+    # E[y y^T] = I/d, entry by entry within 4 SE; |y| is 1 to 2 ulp
+    y = many_directions(d)
+    assert np.abs(np.linalg.norm(y, axis=1) - 1.0).max() <= 4.4e-16
+    prods = y[:, :, None] * y[:, None, :]
+    se = prods.std(axis=0) / math.sqrt(y.shape[0])
+    assert (np.abs(prods.mean(axis=0) - np.eye(d) / d) <= 4 * se).all()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_word_directions_any_split_of_the_window(monkeypatch, d):
+    # rounds [3, 14) as one request, in pieces, in stream halves, and in
+    # tiles of 5 directions: the same bits
+    ids = np.arange(7, dtype=np.uint64) * np.uint64(2**33)
+    whole = rng.sphere_rows(8, ids, 3, d, rounds=11)
+    for cuts in ([3, 4, 14], [3, 10, 11, 14], [3, 5, 6, 7, 13, 14]):
+        parts = [rng.sphere_rows(8, ids, a, d, rounds=b - a) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+    halves = [rng.sphere_rows(8, ids[lo:hi], 3, d, rounds=11) for lo, hi in [(0, 3), (3, 7)]]
+    assert np.array_equal(np.concatenate(halves), whole)
+    monkeypatch.setattr(rng, "_TILE", 5)
+    assert np.array_equal(rng.sphere_rows(8, ids, 3, d, rounds=11), whole)
+    assert np.array_equal(rng.sphere_rows(8, ids, 3, d, rounds=2), whole[:, :2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_word_directions_read_only_their_words(monkeypatch, d):
+    # w words per round from TAG_GAUSS: no Gaussian and no TAG_RETRY word
+    reads, raw = [], philox.raw_words
+
+    def spy(seed, stream_ids, substream, start, count):
+        reads.append((substream, start, count))
+        return raw(seed, stream_ids, substream, start, count)
+
+    monkeypatch.setattr(philox, "raw_words", spy)
+    monkeypatch.setattr(rng, "gaussian_values", None)   # any Gaussian would fail
+    rng.sphere_rows(2, np.arange(30, dtype=np.uint64), 4, d, rounds=6)
+    w = rng.SPHERE_WORDS[d]
+    assert reads == [(rng.TAG_GAUSS, 4 * w, 6 * w)]
+
+
+#: sha256 of ``sphere_rows(21, GAUSSIAN_IDS, 7, d, rounds=9)``, frozen
+#: from version 0.5.0, whose every dimension drew the Gaussian rule
+GAUSSIAN_DIGESTS = {
+    1: "55137e38e3d8a38ee1ca2f16cc74fcf616adbe77b28a0ab2c58d1e7fe6c7df30",
+    5: "fff3697029ee2114bae60b51a51fffbadbd83b24420f4699d3fd43194073cfa0",
+    6: "0aa6e9e075a98f193193d9bf07868c958b02495a83e92d311054e9a82150eb2b",
+}
+GAUSSIAN_IDS = np.array([0, 3, 2**40, 2**64 - 1], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("d", sorted(GAUSSIAN_DIGESTS))
+def test_gaussian_rule_dimensions_keep_their_bytes(d):
+    # outside d = 2, 3, 4, round t is Gaussian words [t d, (t+1) d) over its norm
+    got = rng.sphere_rows(21, GAUSSIAN_IDS, 7, d, rounds=9)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == GAUSSIAN_DIGESTS[d]
+    g = rng.gaussian_values(21, GAUSSIAN_IDS, 7 * d, 9 * d).reshape(-1, d)
+    want = g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+    assert np.array_equal(got.reshape(-1, d), want)
+
+
+def test_cos_sin_error_at_the_ends_and_table_edges():
+    # the angle 2 pi m 2^-53 of m = w >> 11: words 0 and 2^64 - 1, and m at
+    # every table edge k 2^43 and one unit to each side of it
+    edges = np.arange(1 << rng.TRIG_BITS, dtype=np.int64) << 43
+    m = np.concatenate([edges, edges[1:] - 1, edges + 1])
+    words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64),
+                            m.astype(np.uint64) << np.uint64(11)])
+    cos, sin = np.empty(words.size), np.empty(words.size)
+    rng._cos_sin(words.copy(), cos, sin)
+    exact = (words >> np.uint64(11)).astype(np.longdouble)
+    angle = 8 * np.arctan(np.longdouble(1)) * exact / np.longdouble(2.0 ** 53)
+    assert np.abs(cos - np.cos(angle)).max() <= 1e-15
+    assert np.abs(sin - np.sin(angle)).max() <= 1e-15
+    assert cos[0] == 1.0 and sin[0] == 0.0

@@ -1,4 +1,5 @@
-"""The benchmark's trace mode still sees every sampler kernel.
+"""The benchmark's trace mode still sees every sampler kernel, and the
+walks' word budget holds.
 
 ``perfbench/spans.py`` times the kernels by replacing
 ``brownian.simulate_exit_batch``, ``wos.wos_exit_batch`` and
@@ -14,7 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from exitlaw import Ball, philox, rng
+from exitlaw.wos import WosConfig, wos_exit_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +48,26 @@ def test_traced_table1_reaches_the_method_kernel(method, tmp_path):
     for name, layer in LAYERS.items():
         assert (layers[f"{layer}.rounds"] > 0) == (name == method), layer
     if method != "brownian":
-        # the sphere-direction layer is seen, and no direction is redrawn
+        # the sphere-direction layer is seen, and its d <= 4 directions
+        # read raw words: no Gaussian, and no redraw
         assert layers["rng.sphere.rows"] > 0
+        assert layers["rng.gaussian.values"] == 0
         assert layers["rng.retry_words"] == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_wos_batch_reads_at_most_twice_its_hop_words(monkeypatch, d):
+    # hop h of a walk reads words [h w, (h+1) w); a lookahead window holds
+    # at most the rounds run so far, so a batch fetches at most 2 w words
+    # per hop its walks take
+    words, raw = [], philox.raw_words
+
+    def counted(seed, stream_ids, substream, start, count):
+        words.append(np.size(stream_ids) * count)
+        return raw(seed, stream_ids, substream, start, count)
+
+    monkeypatch.setattr(philox, "raw_words", counted)
+    starts = np.array([[0.0] * d, [0.5] + [0.0] * (d - 1), [0.9] + [0.0] * (d - 1)])
+    grid = np.arange(3 * 200, dtype=np.uint64).reshape(3, 200)
+    batch = wos_exit_batch(Ball(np.zeros(d), 1.0), starts, WosConfig(), 11, grid)
+    assert 0 < sum(words) <= 2 * rng.SPHERE_WORDS[d] * int(batch.steps.sum())

@@ -197,7 +197,7 @@ def per_round_walks(domain, theta, cfg, seed, stream_ids):
             alive, dist = alive[~done], dist[~done]
             if not alive.size:
                 break
-        dirs = rng.sphere_rows(seed, stream_ids[alive], hop * d, d)[:, 0]
+        dirs = rng.sphere_rows(seed, stream_ids[alive], hop, d)[:, 0]
         Y[alive] += dist[:, None] * dirs
         hops[alive] += 1
         hop += 1
@@ -222,8 +222,9 @@ def test_lookahead_window_matches_per_round_walks(monkeypatch, k, d):
 @pytest.mark.parametrize("k", [1, 3, 7, None])
 def test_lookahead_window_matches_per_round_walks_with_redraws(monkeypatch, zero_directions, k):
     # degenerate directions at the first hop and at later ones are redrawn
-    # the same inside any window as one hop at a time
-    d = 3
+    # the same inside any window as one hop at a time (d = 5: the
+    # dimensions below draw directions from raw words, with no redraws)
+    d = 5
     domain = Ball(np.zeros(d), 1.0)
     theta = np.full(d, 0.3)
     cfg = WosConfig(epsilon=1e-4)
