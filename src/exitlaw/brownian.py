@@ -29,11 +29,18 @@ strictly inside the domain exits at its projection onto the boundary.
 
 Round k of a walk, a hop or a step, reads Gaussian words [k*d, (k+1)*d)
 of its stream, normalized by ``rng.unit_rows`` for a hop and raw for a
-step, and a hop reads tag-0 uniform word k for its time. All walks move
-in one lockstep batch, whatever their starts, fetching their words in
+step, and a hop's time reads tag-0 uniform word k. All walks move in one
+lockstep batch, whatever their starts, fetching their words in
 ``rng.lookahead_rounds`` windows; finished walks leave the batch in the
 round they exit, as in ``wos``. A walk depends only on its stream, so no
 bit depends on the batch, its split or the window size.
+
+The path never reads its clock, so the rounds keep none: they record
+which walks hopped, with their radii, and which exited, and the batch's
+``exit_times`` replays the clock from that record on its first read
+(``_Clock``), byte for byte the times of a clock run inside the rounds.
+A caller that reads only exit points, as ``table1`` does, draws no
+tag-0 word and no first-passage time.
 
 A walk that reaches ``ceil(100 D^2 / dt)`` rounds in a domain of
 diameter D raises MaxStepsExceeded rather than being truncated, which
@@ -48,6 +55,7 @@ that has a probability of order c e^{-120}: the configuration is wrong.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +67,11 @@ from .geometry import Domain
 #: Width of the boundary layer in units of sqrt(dt): a walk hops while
 #: farther than KAPPA * sqrt(dt) from the boundary, and steps within it.
 KAPPA = 4.0
+
+#: Most hops and lookahead windows the walk's exit-time record holds
+#: before the clock replays it into partial times: 4 MiB of record, and
+#: about eight times that in temporaries while it is replayed.
+CLOCK_HOPS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,12 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     ``steps`` counts a walk's rounds, hops and layer steps together.
     Raises MaxStepsExceeded with every walk still pending at the round
     cap, in row order.
+
+    The rounds move positions only. They record the rows that hop, with
+    their radii, and the rows that exit, in a ``_Clock`` that replays
+    the exit times on the first read of ``exit_times``. Exits are
+    resolved after the last round, all crossings in one call and all
+    hop projections in another.
     """
     starts, grid = domain.interior_starts(theta, stream_ids)
     ids = grid.ravel()
@@ -129,13 +148,17 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     layer = KAPPA * sqdt
 
     X = np.repeat(starts, grid.shape[1], axis=0)
-    T = np.zeros(m)            # time of each live walk
     live = np.arange(m)        # batch row of each live walk
-    points = np.empty((m, d))
-    times = np.empty(m)
     steps = np.empty(m, dtype=np.int64)
-    # Gaussians and uniforms of rounds [first, first + K) of the live walks
-    g, u, first = np.empty((m, 0, d)), np.empty((m, 0)), 0
+    clock = _Clock(seed, ids, d, cfg.dt)
+    # An exit parks its last inside position (a step) or its landing
+    # point (a hop) in its row of points until the loop ends.
+    points = np.empty((m, d))
+    walked, outside, jumped = [], [], []   # step exits' rows and first outside positions; hop exits' rows
+    # Gaussians of rounds [first, first + K) of the walks live at the
+    # window's request, one request per window; row[i] is live walk i's
+    # row in it, so an exit leaves only row.
+    g, row, first = np.empty((m, 0, d)), live, 0
     k = 0
 
     while live.size:
@@ -143,36 +166,164 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
             raise MaxStepsExceeded(k, ids[live], X, cfg.dt, domain.diameter())
         if k == first + g.shape[1]:
             K = min(rng.lookahead_rounds(live.size, d, k), cap - k)
+            clock.window(k, live.size * K)
             g = rng.gaussian_values(seed, ids[live], k * d, K * d).reshape(-1, K, d)
-            u = rng.uniform_values(seed, ids[live], k, K)
-            first = k
+            row, first = np.arange(live.size), k
         dist = domain.distance_to_boundary_many(X)
-        gk = g[:, k - first]
-        Y = X + sqdt * gk
-        dT = np.full(live.size, cfg.dt)
+        Y = g[row, k - first]      # the round's Gaussians, made into its positions
         hopping = dist > layer
         hop = np.flatnonzero(hopping)
         if hop.size:
             R = dist[hop] - sqdt
-            dirs = rng.unit_rows(seed, ids[live[hop]], k * d, gk[hop, None])[:, 0]
+            rows = live[hop]
+            dirs = rng.unit_rows(seed, ids[rows], k * d, Y[hop, None])[:, 0]
+            clock.hops(k, rows, R)
+        Y *= sqdt
+        Y += X
+        if hop.size:
             Y[hop] = X[hop] + R[:, None] * dirs
-            dT[hop] = R * R * passage.times(d, u[hop, k - first])
         inside = domain.contains_many(Y)
         k += 1
         if inside.all():
-            X, T = Y, T + dT
+            X = Y
             continue
 
         out = np.flatnonzero(~inside)
         hopped = hopping[out]
-        walk, rows = out[~hopped], live[out[~hopped]]
-        points[rows], t = domain.crossing_many(X[walk], Y[walk])
-        times[rows] = T[walk] + t * cfg.dt
-        jump, rows = out[hopped], live[out[hopped]]
-        points[rows] = domain.project_to_boundary_many(Y[jump])
-        times[rows] = T[jump] + dT[jump]
-        steps[live[out]] = k
+        walk, jump = out[~hopped], out[hopped]
+        by_step, by_hop = live[walk], live[jump]
+        steps[by_step] = steps[by_hop] = k
+        clock.exits(k - 1, by_step, by_hop)
+        points[by_step] = X[walk]
+        points[by_hop] = Y[jump]
+        walked.append(by_step)
+        outside.append(Y[walk])
+        jumped.append(by_hop)
+        X, live, row = Y[inside], live[inside], row[inside]
 
-        X, T, live = Y[inside], (T + dT)[inside], live[inside]
-        g, u, first = g[inside, k - first:], u[inside, k - first:], k
-    return ExitBatch(points, steps, times)
+    if m:
+        rows, b = np.concatenate(walked), np.concatenate(outside)
+        outside.clear()
+        points[rows], t = domain.crossing_many(points[rows], b)
+        clock.stop(k, rows, t * cfg.dt)
+        rows = np.concatenate(jumped)
+        points[rows] = domain.project_to_boundary_many(points[rows])
+    return ExitBatch(points, steps, clock.read)
+
+
+class _Clock:
+    """A walk's record of its hops and exits, replayed into exit times.
+
+    A walk's time starts at 0. Round k adds dt for a layer step and
+    R^2 T_d(u) for a hop of radius R, u being tag-0 uniform word k of
+    the walk's stream; the exit time is the time before the last round
+    plus t dt for a step that crosses at parameter t, or plus the hop's
+    time. The walk records for each round the rows that hop and their
+    radii (16 bytes a hop, and 16 a round with hops), the rows that exit
+    by a step or by a hop, and the round each lookahead window starts;
+    it draws no uniform and no time. ``_replay`` runs the clock over the
+    record, round by round, with the same IEEE operations in the same
+    order as a clock run inside the walk, so the times do not depend on
+    when or in how many parts it runs. Each part makes one tag-0 request
+    per window, for the rows that hopped in it, and one ``passage.times``
+    call, and keeps only the walks still live, as the walk does.
+
+    The walk calls ``window`` at each window's start, which replays the
+    record first if the window's hops could take it past ``CLOCK_HOPS``
+    hops and windows; ``read``, the batch's ``exit_times``, replays the
+    rest. The clock holds its own copy of the stream ids and reads no
+    array of the batch.
+    """
+
+    def __init__(self, seed: int, ids: np.ndarray, d: int, dt: float):
+        m = ids.shape[0]
+        self.seed, self.ids, self.d, self.dt = seed, ids.copy(), d, dt
+        self.live = np.arange(m)   # rows the replay has not seen exit, ascending
+        self.T = np.zeros(m)       # their times after the rounds replayed
+        self.times = np.empty(m)   # exit times; before their last round for step exits
+        self.done = 0              # rounds replayed
+        self.end = 0               # rounds the walk ran
+        self.crossing = None       # rows of step exits and their last rounds' t dt
+        self._clear()
+        self.ends = []             # (round, rows exiting by a step, by a hop)
+
+    def _clear(self):
+        self.rows, self.radii = array("q"), array("d")      # each hop, in round order
+        self.rounds, self.counts = array("q"), array("q")   # each round with hops
+        self.windows = array("q")                           # the round each window starts
+        self.pending = 0
+
+    def window(self, k: int, most: int) -> None:
+        """Open a window at round k in which at most ``most`` hops are made."""
+        if self.pending + most > CLOCK_HOPS:
+            self._replay(k)
+        self.windows.append(k)
+        self.pending += 1
+
+    def hops(self, k: int, rows: np.ndarray, radii: np.ndarray) -> None:
+        self.rows.frombytes(rows.view(np.uint8))
+        self.radii.frombytes(radii.view(np.uint8))
+        self.rounds.append(k)
+        self.counts.append(rows.size)
+        self.pending += rows.size
+
+    def exits(self, k: int, walked: np.ndarray, jumped: np.ndarray) -> None:
+        self.ends.append((k, walked, jumped))
+
+    def stop(self, end: int, rows: np.ndarray, t_dt: np.ndarray) -> None:
+        self.end, self.crossing = end, (rows, t_dt)
+
+    def read(self) -> np.ndarray:
+        """The exit times: the record's remaining rounds replayed, then each
+        step exit's last round added."""
+        self._replay(self.end)
+        times = self.times
+        if self.crossing is not None:
+            rows, t_dt = self.crossing
+            times[rows] += t_dt
+        return times
+
+    def _replay(self, end: int) -> None:
+        """Run the clock over rounds [done, end) of the record, and drop them."""
+        rows = np.frombuffer(self.rows, dtype=np.int64)
+        radii = np.frombuffer(self.radii)
+        counts = np.frombuffer(self.counts, dtype=np.int64)
+        at = np.repeat(np.frombuffer(self.rounds, dtype=np.int64), counts)  # round of each hop
+        windows, rounds = self.windows.tolist(), self.rounds.tolist()
+        self._clear()
+        dT = None
+        if rows.size:
+            u = np.empty(rows.size)
+            cut = [*np.searchsorted(at, windows).tolist(), rows.size]
+            for k0, lo, hi in zip(windows, cut, cut[1:]):
+                if lo < hi:
+                    need, which = np.unique(rows[lo:hi], return_inverse=True)
+                    words = rng.uniform_values(self.seed, self.ids[need], k0,
+                                               int(at[hi - 1]) - k0 + 1)
+                    u[lo:hi] = words[which, at[lo:hi] - k0]
+            dT = radii * radii * passage.times(self.d, u)
+        bounds = np.cumsum(counts).tolist()
+
+        T, live, times, dt = self.T, self.live, self.times, self.dt
+        ends, e, j, lo = self.ends, 0, 0, 0
+        for k in range(self.done, end):
+            inc = dt
+            if j < len(rounds) and rounds[j] == k:
+                inc = np.full(live.size, dt)
+                hi = bounds[j]
+                inc[np.searchsorted(live, rows[lo:hi])] = dT[lo:hi]
+                j, lo = j + 1, hi
+            if e < len(ends) and ends[e][0] == k:
+                _, walked, jumped = ends[e]
+                e += 1
+                s, h = np.searchsorted(live, walked), np.searchsorted(live, jumped)
+                times[walked] = T[s]
+                if h.size:
+                    times[jumped] = T[h] + inc[h]
+                keep = np.ones(live.size, dtype=bool)
+                keep[s] = keep[h] = False
+                T, live = (T + inc)[keep], live[keep]
+            else:
+                T += inc
+        self.T, self.live, self.done = T, live, end
+        del ends[:e]

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class ExitBatch:
     """A batch of exits from one sampler run, one row per stream.
 
@@ -20,11 +19,31 @@ class ExitBatch:
     None from the others: a sampled time, each hop of radius R taking
     R^2 times a draw of the unit ball's first-passage time and each
     layer step dt, the last one up to its crossing.
+
+    ``ExitBatch(points, steps, exit_times)`` takes the times as an array,
+    or as a function of no arguments that returns them: the brownian
+    walk passes its clock's replay, which runs on the first read of
+    ``exit_times`` and whose array every later read returns. The
+    attributes are read-only.
     """
 
-    points: np.ndarray
-    steps: np.ndarray
-    exit_times: np.ndarray | None = None
+    __slots__ = ("points", "steps", "_times")
+
+    def __init__(self, points: np.ndarray, steps: np.ndarray,
+                 exit_times: np.ndarray | Callable[[], np.ndarray] | None = None):
+        for name, value in (("points", points), ("steps", steps), ("_times", exit_times)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExitBatch is read-only: cannot set {name!r}")
+
+    @property
+    def exit_times(self) -> np.ndarray | None:
+        times = self._times
+        if callable(times):
+            times = times()
+            object.__setattr__(self, "_times", times)
+        return times
 
     def __len__(self) -> int:
         return self.points.shape[0]

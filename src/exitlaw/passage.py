@@ -88,8 +88,9 @@ def survival(d: int, t) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _table(d: int):
-    """Survival at the grid times (descending), per interval the rows
-    (survival at its start, 1 / its width, cubic coefficients), and c_1, j_1^2.
+    """The negated survival at the grid times (ascending), per interval the
+    rows (survival at its start, 1 / its width, cubic coefficients)
+    padded with the first row in front and the last behind, and c_1, j_1^2.
 
     Raises ValueError where the series cancels too much in float64 to
     place the grid's first time below a mass of 1e-8 (d of 44 and more).
@@ -115,7 +116,9 @@ def _table(d: int):
     m0, m1 = -h / f[:-1], -h / f[1:]
     dt = np.diff(t)
     rows = np.stack([s[:-1], 1.0 / h, t[:-1], m0, 3 * dt - 2 * m0 - m1, m0 + m1 - 2 * dt], axis=1)
-    return *_frozen(s, rows), c[0], j[0] ** 2
+    # searchsorted's index i in [0, NODES] picks padded row i, interval i - 1
+    # clamped to the grid: the first below it, the last past it
+    return *_frozen(-s, np.concatenate([rows[:1], rows, rows[-1:]])), c[0], j[0] ** 2
 
 
 def _frozen(*arrays):
@@ -127,12 +130,21 @@ def _frozen(*arrays):
 
 def times(d: int, u) -> np.ndarray:
     """T_d at the uniforms u in [0, 1): the time of survival 1 - u."""
-    s, rows, c1, j1sq = _table(d)
+    neg_s, rows, c1, j1sq = _table(d)
     target = 1.0 - np.asarray(u, dtype=np.float64)
-    i = np.searchsorted(-s, -target) - 1
-    r = rows[np.minimum(np.maximum(i, 0), len(rows) - 1)]
-    x = np.minimum(np.maximum((target - r[:, 0]) * r[:, 1], 0.0), 1.0)
-    out = ((r[:, 5] * x + r[:, 4]) * x + r[:, 3]) * x + r[:, 2]
-    tail = target < s[-1]
-    out[tail] = 2.0 * np.log(c1 / target[tail]) / j1sq
+    i = np.searchsorted(neg_s, -target)
+    r = rows[i]
+    x = target - r[:, 0]
+    x *= r[:, 1]
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 1.0, out=x)
+    out = r[:, 5] * x
+    out += r[:, 4]
+    out *= x
+    out += r[:, 3]
+    out *= x
+    out += r[:, 2]
+    tail = i == neg_s.size    # below the grid's last survival
+    if tail.any():
+        out[tail] = 2.0 * np.log(c1 / target[tail]) / j1sq
     return out

@@ -10,7 +10,7 @@ import pytest
 from exitlaw import Ball, BoxDomain, BrownianConfig, MaxStepsExceeded
 from exitlaw.brownian import simulate_exit_batch
 from exitlaw.exits import ExitBatch
-from exitlaw import brownian, driver, passage, rng, stats
+from exitlaw import brownian, driver, passage, philox, rng, stats
 
 BALL2 = Ball(np.zeros(2), 1.0)
 THETA2 = np.array([0.5, 0.0])
@@ -413,3 +413,135 @@ def test_largest_accepted_dt_crosses_without_overflow(radius, dt):
     assert np.isfinite(pts).all() and ((0 < t) & (t <= 1)).all()
     batch = simulate_exit_batch(ball, np.zeros(2), BrownianConfig(dt=dt), 3, ids(500))
     assert np.isfinite(batch.points).all() and np.isfinite(batch.exit_times).all()
+
+
+# ---------------------------------------------------------------------------
+# Exit times replayed on demand
+# ---------------------------------------------------------------------------
+
+def per_round_clock(domain, theta, cfg, seed, stream_ids):
+    """Exit times by a clock run inside the walk, round by round.
+
+    The walk of ``simulate_exit_batch`` with one round per request: each
+    live walk's time T gains dt for a step and R * R * T_d(u) for a hop,
+    u its tag-0 uniform word k; a step exit takes T + t * dt, a hop exit
+    T + the hop's time.
+    """
+    starts, grid = domain.interior_starts(theta, stream_ids)
+    ids = grid.ravel()
+    m, d = ids.shape[0], domain.dimension
+    sqdt = math.sqrt(cfg.dt)
+    X = np.repeat(starts, grid.shape[1], axis=0)
+    T, live, times, k = np.zeros(m), np.arange(m), np.empty(m), 0
+    while live.size:
+        dist = domain.distance_to_boundary_many(X)
+        gk = rng.gaussian_values(seed, ids[live], k * d, d).reshape(-1, d)
+        Y = X + sqdt * gk
+        dT = np.full(live.size, cfg.dt)
+        hopping = dist > brownian.KAPPA * sqdt
+        hop = np.flatnonzero(hopping)
+        if hop.size:
+            R = dist[hop] - sqdt
+            dirs = rng.unit_rows(seed, ids[live[hop]], k * d, gk[hop, None])[:, 0]
+            Y[hop] = X[hop] + R[:, None] * dirs
+            u = rng.uniform_values(seed, ids[live[hop]], k, 1)[:, 0]
+            dT[hop] = R * R * passage.times(d, u)
+        inside = domain.contains_many(Y)
+        k += 1
+        out = np.flatnonzero(~inside)
+        walk, jump = out[~hopping[out]], out[hopping[out]]
+        times[live[walk]] = T[walk] + domain.crossing_many(X[walk], Y[walk])[1] * cfg.dt
+        times[live[jump]] = T[jump] + dT[jump]
+        X, T, live = Y[inside], (T + dT)[inside], live[inside]
+    return times
+
+
+CLOCK_CASES = [(Ball(np.zeros(d), 1.0), np.r_[0.3, np.zeros(d - 1)]) for d in range(1, 6)]
+CLOCK_CASES.append((BoxDomain((0.0, 0.0), (2.0, 1.0)), np.array([0.4, 0.3])))
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("dt", [1e-2, 1e-4])
+@pytest.mark.parametrize("case", range(len(CLOCK_CASES)))
+def test_exit_times_replay_the_per_round_clock_byte_for_byte(monkeypatch, case, dt, seed):
+    # at the default window and record sizes, and under windows of one
+    # round, of a few rounds and of 4096 values, each with a record that
+    # the clock replays at every window, every few windows and every
+    # thousand hops
+    domain, theta = CLOCK_CASES[case]
+    d, cfg = domain.dimension, BrownianConfig(dt=dt)
+    want = per_round_clock(domain, theta, cfg, seed, ids(120)).tobytes()
+    batch = simulate_exit_batch(domain, theta, cfg, seed, ids(120))
+    assert batch.exit_times.tobytes() == want
+    for values, hops in [(1, 1), (7 * d * 100, 7), (4096, 1000)]:
+        monkeypatch.setattr(rng, "WINDOW_VALUES", values)
+        monkeypatch.setattr(brownian, "CLOCK_HOPS", hops)
+        got = simulate_exit_batch(domain, theta, cfg, seed, ids(120))
+        assert_same_exits(got, batch)
+        assert got.exit_times.tobytes() == want, (values, hops)
+
+
+def test_exit_times_are_read_once_from_a_private_record():
+    # the first read replays the clock and every later read returns its
+    # array; the clock reads no array of the batch or of the caller
+    stream_ids = ids(300)
+    batch = simulate_exit_batch(BALL2, THETA2, BrownianConfig(dt=1e-3), 4, stream_ids)
+    want = per_round_clock(BALL2, THETA2, BrownianConfig(dt=1e-3), 4, ids(300))
+    stream_ids[:] = 0
+    batch.points[:] = 0.0
+    batch.steps[:] = 1
+    times = batch.exit_times
+    assert np.array_equal(times, want)
+    assert batch.exit_times is times
+    with pytest.raises(AttributeError):
+        batch.exit_times = want
+
+
+def test_the_walk_draws_no_time(monkeypatch):
+    # the rounds fetch no tag-0 word and call no passage.times; the read
+    # fetches no more tag-0 words than windows of every live walk would
+    words, gauss = [], []
+    raw, gaussian_values, first_passage = philox.raw_words, rng.gaussian_values, passage.times
+
+    def counted(seed, stream_ids, substream, start, count):
+        if substream == rng.TAG_UNIFORM:
+            words.append(np.size(stream_ids) * count)
+        return raw(seed, stream_ids, substream, start, count)
+
+    def windows(seed, stream_ids, start, count, substream=rng.TAG_GAUSS):
+        gauss.append(np.size(stream_ids) * count)
+        return gaussian_values(seed, stream_ids, start, count, substream)
+
+    def refuse(d, u):
+        raise AssertionError("the walk drew a first-passage time")
+
+    monkeypatch.setattr(philox, "raw_words", counted)
+    monkeypatch.setattr(rng, "gaussian_values", windows)
+    monkeypatch.setattr(passage, "times", refuse)
+    starts = np.array([[0.2, 0.0, 0.0], [0.5, 0.0, 0.0], [0.8, 0.0, 0.0]])
+    grid = ids(3 * 200).reshape(3, 200)
+    batch = simulate_exit_batch(Ball(np.zeros(3), 1.0), starts, BrownianConfig(dt=1e-4), 7, grid)
+    assert words == []
+    monkeypatch.setattr(passage, "times", first_passage)
+    assert batch.exit_times.shape == (600,)
+    # a hop reads one word; windows of K rounds for L live walks fetch L K
+    assert 0 < sum(words) <= sum(gauss) // 3
+
+
+def test_record_and_replay_memory_at_scale():
+    # 200,000 walks in d=4: a clock run inside the walk peaked at 64.5 MiB
+    # (tracemalloc); the record, its replays and the read stay within 1.25x
+    ball = Ball(np.zeros(4), 1.0)
+    bound = 1.25 * 64.5 * 2**20
+    tracemalloc.start()
+    try:
+        batch = simulate_exit_batch(ball, np.array([0.5, 0.0, 0.0, 0.0]),
+                                    BrownianConfig(dt=1e-3), 1, ids(200_000))
+        _, walk = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        times = batch.exit_times
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walk <= bound and read <= bound, (walk / 2**20, read / 2**20)
+    assert np.isfinite(times).all() and (times > 0).all()

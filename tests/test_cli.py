@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exitlaw import ball, brownian, cli, driver, rng
+from exitlaw import ball, brownian, cli, driver, passage, rng
 from exitlaw.cli import (
     KERNEL_HEADER,
     PRIVACY_HEADER,
@@ -490,6 +490,18 @@ def test_table1_csv_has_nine_rows_with_theory_column(tmp_path, capsys):
     assert theory == ["0.96", "0.75", "0.36"] * 3
     assert [r[0] for r in rows] == ["2"] * 3 + ["3"] * 3 + ["4"] * 3
     assert "9/9 rows PASS" in capsys.readouterr().out
+
+
+def test_table1_brownian_draws_no_exit_time(tmp_path, monkeypatch):
+    # table1 reads exit points only, so its walks never replay their clock
+    def refuse(d, u):
+        raise AssertionError("table1 drew a first-passage time")
+
+    monkeypatch.setattr(passage, "times", refuse)
+    status = main(["table1", "--method", "brownian", "--n", "100", "--dt", "1e-3",
+                   "--out", str(tmp_path / "t1.csv")])
+    assert status in (0, 1)
+    assert len(read_table(tmp_path / "t1.csv")[2]) == 9
 
 
 def test_kernel_check_prints_normalization(tmp_path, capsys):

@@ -79,3 +79,35 @@ def test_dimensions_the_series_cannot_hold_are_refused():
     assert np.isfinite(passage.times(43, [0.5])).all()
     with pytest.raises(ValueError, match="d=44: its series cancels beyond float64"):
         passage.times(44, [0.5])
+
+
+def formula_times(d, u):
+    """T_d by the first form of ``times``: interval searchsorted - 1 clamped
+    to the grid, the cubic in one expression, the tail found by comparison."""
+    neg_s, padded, c1, j1sq = passage._table(d)
+    s, rows = -neg_s, padded[1:-1]
+    target = 1.0 - np.asarray(u, dtype=np.float64)
+    i = np.searchsorted(-s, -target) - 1
+    r = rows[np.minimum(np.maximum(i, 0), len(rows) - 1)]
+    x = np.minimum(np.maximum((target - r[:, 0]) * r[:, 1], 0.0), 1.0)
+    out = ((r[:, 5] * x + r[:, 4]) * x + r[:, 3]) * x + r[:, 2]
+    tail = target < s[-1]
+    out[tail] = 2.0 * np.log(c1 / target[tail]) / j1sq
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_times_equal_the_formula_byte_for_byte(d):
+    # random uniforms; at every grid node the uniform of its survival and
+    # one ulp either side, and of one ulp either side of the survival; and
+    # the two ends of [0, 1)
+    s = -passage._table(d)[0]
+    node = 1.0 - s
+    u = np.concatenate([np.random.default_rng(d).random(200_000),
+                        node, np.nextafter(node, 0.0), np.nextafter(node, 1.0),
+                        1.0 - np.nextafter(s, 0.0), 1.0 - np.nextafter(s, 2.0),
+                        [0.0, 1.0 - 2.0 ** -53]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(passage.times(d, u).view(np.uint64),
+                          formula_times(d, u).view(np.uint64))
+    assert passage.times(d, u[:0]).shape == (0,)

@@ -47,6 +47,9 @@ def test_traced_table1_reaches_the_method_kernel(method, tmp_path):
     assert layers["driver.calls"] == 3
     for name, layer in LAYERS.items():
         assert (layers[f"{layer}.rounds"] > 0) == (name == method), layer
+    if method == "brownian":
+        # table1 reads no exit time, so the walks fetch no tag-0 uniform
+        assert layers["rng.uniform.values"] == 0
     if method != "brownian":
         # the sphere-direction layer is seen, and its d <= 4 directions
         # read raw words: no Gaussian, and no redraw
