@@ -35,12 +35,13 @@ lockstep batch, whatever their starts, fetching their words in
 round they exit, as in ``wos``. A walk depends only on its stream, so no
 bit depends on the batch, its split or the window size.
 
-The path never reads its clock, so the rounds keep none: they record
-which walks hopped, with their radii, and which exited, and the batch's
-``exit_times`` replays the clock from that record on its first read
-(``_Clock``), byte for byte the times of a clock run inside the rounds.
-A caller that reads only exit points, as ``table1`` does, draws no
-tag-0 word and no first-passage time.
+A walk's exit time is the sum of its hops' times, in round order, plus
+n dt for its n whole layer steps, plus t dt for a last step that
+crosses at t. The path never reads its clock, so the rounds keep none:
+they record which walks hopped, with their radii, and the batch's
+``exit_times`` folds that record into the sums on its first read
+(``_Clock``). A caller that reads only exit points, as ``table1`` does,
+draws no tag-0 word and no first-passage time.
 
 A walk that reaches ``ceil(100 D^2 / dt)`` rounds in a domain of
 diameter D raises MaxStepsExceeded rather than being truncated, which
@@ -69,8 +70,8 @@ from .geometry import Domain
 KAPPA = 4.0
 
 #: Most hops and lookahead windows the walk's exit-time record holds
-#: before the clock replays it into partial times: 4 MiB of record, and
-#: about eight times that in temporaries while it is replayed.
+#: before the clock folds it into the walks' hop-time sums: 4 MiB of
+#: record, and about eight times that in temporaries while it is folded.
 CLOCK_HOPS = 1 << 18
 
 
@@ -135,10 +136,9 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
     cap, in row order.
 
     The rounds move positions only. They record the rows that hop, with
-    their radii, and the rows that exit, in a ``_Clock`` that replays
-    the exit times on the first read of ``exit_times``. Exits are
-    resolved after the last round, all crossings in one call and all
-    hop projections in another.
+    their radii, in a ``_Clock`` that sums the exit times on the first
+    read of ``exit_times``. Exits are resolved after the last round, all
+    crossings in one call and all hop projections in another.
     """
     starts, grid = domain.interior_starts(theta, stream_ids)
     ids = grid.ravel()
@@ -166,6 +166,7 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
             raise MaxStepsExceeded(k, ids[live], X, cfg.dt, domain.diameter())
         if k == first + g.shape[1]:
             K = min(rng.lookahead_rounds(live.size, d, k), cap - k)
+            g = dist = hopping = hop = R = rows = dirs = None   # spent before the clock folds
             clock.window(k, live.size * K)
             g = rng.gaussian_values(seed, ids[live], k * d, K * d).reshape(-1, K, d)
             row, first = np.arange(live.size), k
@@ -193,7 +194,6 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
         walk, jump = out[~hopped], out[hopped]
         by_step, by_hop = live[walk], live[jump]
         steps[by_step] = steps[by_hop] = k
-        clock.exits(k - 1, by_step, by_hop)
         points[by_step] = X[walk]
         points[by_hop] = Y[jump]
         walked.append(by_step)
@@ -205,47 +205,45 @@ def simulate_exit_batch(domain: Domain, theta, cfg: BrownianConfig, seed: int,
         rows, b = np.concatenate(walked), np.concatenate(outside)
         outside.clear()
         points[rows], t = domain.crossing_many(points[rows], b)
-        clock.stop(k, rows, t * cfg.dt)
+        clock.finish(steps, rows, t * cfg.dt)
         rows = np.concatenate(jumped)
         points[rows] = domain.project_to_boundary_many(points[rows])
     return ExitBatch(points, steps, clock.read)
 
 
 class _Clock:
-    """A walk's record of its hops and exits, replayed into exit times.
+    """A walk's record of its hops, summed into exit times.
 
-    A walk's time starts at 0. Round k adds dt for a layer step and
-    R^2 T_d(u) for a hop of radius R, u being tag-0 uniform word k of
-    the walk's stream; the exit time is the time before the last round
-    plus t dt for a step that crosses at parameter t, or plus the hop's
-    time. The walk records for each round the rows that hop and their
-    radii (16 bytes a hop, and 16 a round with hops), the rows that exit
-    by a step or by a hop, and the round each lookahead window starts;
-    it draws no uniform and no time. ``_replay`` runs the clock over the
-    record, round by round, with the same IEEE operations in the same
-    order as a clock run inside the walk, so the times do not depend on
-    when or in how many parts it runs. Each part makes one tag-0 request
-    per window, for the rows that hopped in it, and one ``passage.times``
-    call, and keeps only the walks still live, as the walk does.
+    A walk's exit time is the sum of its hops' times, in round order,
+    plus n dt for its n whole layer steps, plus t dt for a last step
+    that crosses at parameter t. A hop of radius R in round k takes
+    R^2 T_d(u), u being tag-0 uniform word k of the walk's stream; n is
+    the walk's rounds less its hops, less one for a step exit. The walk
+    records the rows that hop in each round and their radii (16 bytes a
+    hop, and 16 a round with hops), and the round each lookahead window
+    starts; it draws no uniform and no time. ``_fold`` adds the record's
+    hop times into each walk's sum with one tag-0 request per window, for
+    the rows that hopped in it, one ``passage.times`` call and one
+    ``np.add.at``, which adds in record order, so the times do not depend
+    on when or in how many parts the clock folds.
 
-    The walk calls ``window`` at each window's start, which replays the
+    The walk calls ``window`` at each window's start, which folds the
     record first if the window's hops could take it past ``CLOCK_HOPS``
-    hops and windows; ``read``, the batch's ``exit_times``, replays the
-    rest. The clock holds its own copy of the stream ids and reads no
-    array of the batch.
+    hops and windows, and ``finish`` after its last round; ``read``, the
+    batch's ``exit_times``, folds the rest. A fold that cannot tabulate
+    T_d (d >= 44) keeps its ValueError for every read and drops the
+    record, so the walk still returns its points. The clock holds its
+    own copies of the stream ids and of the walks' round counts, and
+    reads no array of the batch.
     """
 
     def __init__(self, seed: int, ids: np.ndarray, d: int, dt: float):
         m = ids.shape[0]
         self.seed, self.ids, self.d, self.dt = seed, ids.copy(), d, dt
-        self.live = np.arange(m)   # rows the replay has not seen exit, ascending
-        self.T = np.zeros(m)       # their times after the rounds replayed
-        self.times = np.empty(m)   # exit times; before their last round for step exits
-        self.done = 0              # rounds replayed
-        self.end = 0               # rounds the walk ran
-        self.crossing = None       # rows of step exits and their last rounds' t dt
+        self.hop_time, self.tail = np.zeros(m), np.zeros(m)   # hops folded; a step exit's t dt
+        self.n = np.zeros(m, dtype=np.int64)    # whole layer steps: rounds less hops folded
+        self.error = None                       # a fold's ValueError, raised by every read
         self._clear()
-        self.ends = []             # (round, rows exiting by a step, by a hop)
 
     def _clear(self):
         self.rows, self.radii = array("q"), array("d")      # each hop, in round order
@@ -256,7 +254,7 @@ class _Clock:
     def window(self, k: int, most: int) -> None:
         """Open a window at round k in which at most ``most`` hops are made."""
         if self.pending + most > CLOCK_HOPS:
-            self._replay(k)
+            self._fold()
         self.windows.append(k)
         self.pending += 1
 
@@ -267,63 +265,39 @@ class _Clock:
         self.counts.append(rows.size)
         self.pending += rows.size
 
-    def exits(self, k: int, walked: np.ndarray, jumped: np.ndarray) -> None:
-        self.ends.append((k, walked, jumped))
-
-    def stop(self, end: int, rows: np.ndarray, t_dt: np.ndarray) -> None:
-        self.end, self.crossing = end, (rows, t_dt)
+    def finish(self, steps: np.ndarray, rows: np.ndarray, t_dt: np.ndarray) -> None:
+        """Take each walk's rounds, and the rows and t dt of the step exits."""
+        self.n += steps
+        self.n[rows] -= 1
+        self.tail[rows] = t_dt
 
     def read(self) -> np.ndarray:
-        """The exit times: the record's remaining rounds replayed, then each
-        step exit's last round added."""
-        self._replay(self.end)
-        times = self.times
-        if self.crossing is not None:
-            rows, t_dt = self.crossing
-            times[rows] += t_dt
-        return times
+        """The exit times: the rest of the record folded, then summed."""
+        self._fold()
+        if self.error is not None:
+            raise self.error
+        return self.hop_time + self.n * self.dt + self.tail
 
-    def _replay(self, end: int) -> None:
-        """Run the clock over rounds [done, end) of the record, and drop them."""
+    def _fold(self) -> None:
+        """Add the record's hop times into the walks' sums, and drop it."""
         rows = np.frombuffer(self.rows, dtype=np.int64)
         radii = np.frombuffer(self.radii)
-        counts = np.frombuffer(self.counts, dtype=np.int64)
-        at = np.repeat(np.frombuffer(self.rounds, dtype=np.int64), counts)  # round of each hop
-        windows, rounds = self.windows.tolist(), self.rounds.tolist()
+        at = np.repeat(np.frombuffer(self.rounds, dtype=np.int64),
+                       np.frombuffer(self.counts, dtype=np.int64))   # round of each hop
+        windows = self.windows.tolist()
         self._clear()
-        dT = None
-        if rows.size:
-            u = np.empty(rows.size)
-            cut = [*np.searchsorted(at, windows).tolist(), rows.size]
-            for k0, lo, hi in zip(windows, cut, cut[1:]):
-                if lo < hi:
-                    need, which = np.unique(rows[lo:hi], return_inverse=True)
-                    words = rng.uniform_values(self.seed, self.ids[need], k0,
-                                               int(at[hi - 1]) - k0 + 1)
-                    u[lo:hi] = words[which, at[lo:hi] - k0]
-            dT = radii * radii * passage.times(self.d, u)
-        bounds = np.cumsum(counts).tolist()
-
-        T, live, times, dt = self.T, self.live, self.times, self.dt
-        ends, e, j, lo = self.ends, 0, 0, 0
-        for k in range(self.done, end):
-            inc = dt
-            if j < len(rounds) and rounds[j] == k:
-                inc = np.full(live.size, dt)
-                hi = bounds[j]
-                inc[np.searchsorted(live, rows[lo:hi])] = dT[lo:hi]
-                j, lo = j + 1, hi
-            if e < len(ends) and ends[e][0] == k:
-                _, walked, jumped = ends[e]
-                e += 1
-                s, h = np.searchsorted(live, walked), np.searchsorted(live, jumped)
-                times[walked] = T[s]
-                if h.size:
-                    times[jumped] = T[h] + inc[h]
-                keep = np.ones(live.size, dtype=bool)
-                keep[s] = keep[h] = False
-                T, live = (T + inc)[keep], live[keep]
-            else:
-                T += inc
-        self.T, self.live, self.done = T, live, end
-        del ends[:e]
+        if not rows.size or self.error is not None:
+            return
+        u = np.empty(rows.size)
+        cut = [*np.searchsorted(at, windows).tolist(), rows.size]
+        for k0, lo, hi in zip(windows, cut, cut[1:]):
+            if lo < hi:
+                need, which = np.unique(rows[lo:hi], return_inverse=True)
+                words = rng.uniform_values(self.seed, self.ids[need], k0,
+                                           int(at[hi - 1]) - k0 + 1)
+                u[lo:hi] = words[which, at[lo:hi] - k0]
+        self.n -= np.bincount(rows, minlength=self.n.size)
+        try:
+            np.add.at(self.hop_time, rows, radii * radii * passage.times(self.d, u))
+        except ValueError as error:
+            self.error = error

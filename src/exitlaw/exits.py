@@ -18,12 +18,14 @@ class ExitBatch:
     is (k*n,) from the brownian sampler, the only one with a clock, and
     None from the others: a sampled time, each hop of radius R taking
     R^2 times a draw of the unit ball's first-passage time and each
-    layer step dt, the last one up to its crossing.
+    layer step dt, the last one up to its crossing; a walk's hop times
+    are summed in round order and its n whole steps added as n dt.
 
     ``ExitBatch(points, steps, exit_times)`` takes the times as an array,
     or as a function of no arguments that returns them: the brownian
-    walk passes its clock's replay, which runs on the first read of
-    ``exit_times`` and whose array every later read returns. The
+    walk passes its clock's read, which sums the times on the first read
+    of ``exit_times`` and whose array every later read returns; a read
+    that raises caches nothing, so the next read calls it again. The
     attributes are read-only.
     """
 

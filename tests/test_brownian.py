@@ -416,23 +416,26 @@ def test_largest_accepted_dt_crosses_without_overflow(radius, dt):
 
 
 # ---------------------------------------------------------------------------
-# Exit times replayed on demand
+# Exit times summed on demand
 # ---------------------------------------------------------------------------
 
-def per_round_clock(domain, theta, cfg, seed, stream_ids):
+def per_round_clock(domain, theta, cfg, seed, stream_ids, sequential=False):
     """Exit times by a clock run inside the walk, round by round.
 
     The walk of ``simulate_exit_batch`` with one round per request: each
-    live walk's time T gains dt for a step and R * R * T_d(u) for a hop,
-    u its tag-0 uniform word k; a step exit takes T + t * dt, a hop exit
-    T + the hop's time.
+    live walk sums its hops' times R * R * T_d(u) in round order, u its
+    tag-0 uniform word k, and counts its whole layer steps n; its exit
+    time is that sum + n * dt, plus t * dt for a step exit crossing at t.
+    ``sequential`` runs the clock of exitlaw 0.6.0 instead: a running T
+    gains each round's time, dt for a step and the hop's time for a hop,
+    and a step exit takes T + t * dt.
     """
     starts, grid = domain.interior_starts(theta, stream_ids)
     ids = grid.ravel()
     m, d = ids.shape[0], domain.dimension
     sqdt = math.sqrt(cfg.dt)
     X = np.repeat(starts, grid.shape[1], axis=0)
-    T, live, times, k = np.zeros(m), np.arange(m), np.empty(m), 0
+    T, n, live, times, k = np.zeros(m), np.zeros(m, dtype=np.int64), np.arange(m), np.empty(m), 0
     while live.size:
         dist = domain.distance_to_boundary_many(X)
         gk = rng.gaussian_values(seed, ids[live], k * d, d).reshape(-1, d)
@@ -446,14 +449,27 @@ def per_round_clock(domain, theta, cfg, seed, stream_ids):
             Y[hop] = X[hop] + R[:, None] * dirs
             u = rng.uniform_values(seed, ids[live[hop]], k, 1)[:, 0]
             dT[hop] = R * R * passage.times(d, u)
+        if not sequential:
+            dT[~hopping] = 0.0
         inside = domain.contains_many(Y)
         k += 1
         out = np.flatnonzero(~inside)
         walk, jump = out[~hopping[out]], out[hopping[out]]
-        times[live[walk]] = T[walk] + domain.crossing_many(X[walk], Y[walk])[1] * cfg.dt
-        times[live[jump]] = T[jump] + dT[jump]
-        X, T, live = Y[inside], (T + dT)[inside], live[inside]
+        tail = domain.crossing_many(X[walk], Y[walk])[1] * cfg.dt
+        if sequential:
+            times[live[walk]] = T[walk] + tail
+            times[live[jump]] = T[jump] + dT[jump]
+        else:
+            times[live[walk]] = T[walk] + n[walk] * cfg.dt + tail
+            times[live[jump]] = (T[jump] + dT[jump]) + n[jump] * cfg.dt
+        n += ~hopping
+        X, T, n, live = Y[inside], (T + dT)[inside], n[inside], live[inside]
     return times
+
+
+def sequential_clock(domain, theta, cfg, seed, stream_ids):
+    """Exit times by the clock of exitlaw 0.6.0 (``per_round_clock``'s ``sequential``)."""
+    return per_round_clock(domain, theta, cfg, seed, stream_ids, sequential=True)
 
 
 CLOCK_CASES = [(Ball(np.zeros(d), 1.0), np.r_[0.3, np.zeros(d - 1)]) for d in range(1, 6)]
@@ -466,7 +482,7 @@ CLOCK_CASES.append((BoxDomain((0.0, 0.0), (2.0, 1.0)), np.array([0.4, 0.3])))
 def test_exit_times_replay_the_per_round_clock_byte_for_byte(monkeypatch, case, dt, seed):
     # at the default window and record sizes, and under windows of one
     # round, of a few rounds and of 4096 values, each with a record that
-    # the clock replays at every window, every few windows and every
+    # the clock folds at every window, every few windows and every
     # thousand hops
     domain, theta = CLOCK_CASES[case]
     d, cfg = domain.dimension, BrownianConfig(dt=dt)
@@ -481,8 +497,34 @@ def test_exit_times_replay_the_per_round_clock_byte_for_byte(monkeypatch, case, 
         assert got.exit_times.tobytes() == want, (values, hops)
 
 
+@pytest.mark.parametrize("dt", [1e-2, 1e-4])
+@pytest.mark.parametrize("case", range(len(CLOCK_CASES)))
+def test_exit_times_stay_within_1e13_of_the_sequential_clock(case, dt):
+    # n dt rounds once where the clock of 0.6.0 added dt n times
+    domain, theta = CLOCK_CASES[case]
+    cfg = BrownianConfig(dt=dt)
+    want = sequential_clock(domain, theta, cfg, 11, ids(120))
+    got = simulate_exit_batch(domain, theta, cfg, 11, ids(120)).exit_times
+    assert (np.abs(got - want) <= 1e-13 * want).all()
+
+
+def test_a_fold_past_the_table_keeps_the_walk_and_fails_every_read(monkeypatch):
+    # passage.times raises from d = 44 on: a fold inside the walk keeps the
+    # error and drops the record, so the walk returns its exits and every
+    # read raises that error
+    ball, cfg = Ball(np.zeros(44), 1.0), BrownianConfig(dt=1e-3)
+    want = simulate_exit_batch(ball, np.zeros(44), cfg, 5, ids(20))
+    monkeypatch.setattr(brownian, "CLOCK_HOPS", 1)
+    got = simulate_exit_batch(ball, np.zeros(44), cfg, 5, ids(20))
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.steps, want.steps)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="d=44"):
+            got.exit_times
+
+
 def test_exit_times_are_read_once_from_a_private_record():
-    # the first read replays the clock and every later read returns its
+    # the first read sums the clock and every later read returns its
     # array; the clock reads no array of the batch or of the caller
     stream_ids = ids(300)
     batch = simulate_exit_batch(BALL2, THETA2, BrownianConfig(dt=1e-3), 4, stream_ids)
@@ -530,7 +572,7 @@ def test_the_walk_draws_no_time(monkeypatch):
 
 def test_record_and_replay_memory_at_scale():
     # 200,000 walks in d=4: a clock run inside the walk peaked at 64.5 MiB
-    # (tracemalloc); the record, its replays and the read stay within 1.25x
+    # (tracemalloc); the record, its folds and the read stay within 1.25x
     ball = Ball(np.zeros(4), 1.0)
     bound = 1.25 * 64.5 * 2**20
     tracemalloc.start()

@@ -493,7 +493,7 @@ def test_table1_csv_has_nine_rows_with_theory_column(tmp_path, capsys):
 
 
 def test_table1_brownian_draws_no_exit_time(tmp_path, monkeypatch):
-    # table1 reads exit points only, so its walks never replay their clock
+    # table1 reads exit points only, so its walks never fold their clock
     def refuse(d, u):
         raise AssertionError("table1 drew a first-passage time")
 
